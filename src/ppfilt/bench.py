@@ -9,7 +9,8 @@ samples.  BLAS pools are pinned to one thread during timing with only
 numpy and scipy installed: through threadpoolctl when it is present, else
 through the C API of the OpenBLAS copies that the numpy and scipy wheels
 bundle.  When no pool can be pinned, one warning says the timings are not
-single-threaded.
+single-threaded.  Every row records the thread count read back while it was
+timed (``blas_threads``), so an unpinned table can be told from a pinned one.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class BenchRow:
     dense_bytes: int
     nll_ms: float
     grad_ms: float
+    blas_threads: int  # largest BLAS thread count read back while timing; 0 if none was found
 
 
 def hawkes_like_data(
@@ -142,8 +144,9 @@ def _pin_bundled_openblas(stack: contextlib.ExitStack) -> list[int]:
 def _single_thread_pools():
     """Pin every BLAS pool to one thread for the block, restoring it on exit.
 
-    If no pool is found, or a pool does not read back one thread, the block
-    still runs and one warning says the timings are not single-threaded.
+    Yields the thread counts read back from the pools after pinning.  If no
+    pool is found, or a pool does not read back one thread, the block still
+    runs and one warning says the timings are not single-threaded.
     """
     with contextlib.ExitStack() as stack:
         counts = _pin_with_threadpoolctl(stack)
@@ -155,7 +158,7 @@ def _single_thread_pools():
                 "timings are not single-threaded",
                 counts,
             )
-        yield
+        yield counts
 
 
 class _TimedTarget:
@@ -198,7 +201,7 @@ class _TimedTarget:
             _loop_seconds(lambda: gradient(self.ctx, self.coef), self.grad_inner)
         )
 
-    def row(self) -> BenchRow:
+    def row(self, blas_threads: int) -> BenchRow:
         sparse_bytes, dense_bytes = memory_footprint(self.ctx.design)
         return BenchRow(
             mode=self.mode,
@@ -211,6 +214,7 @@ class _TimedTarget:
             dense_bytes=dense_bytes,
             nll_ms=float(np.median(self.nll_samples) * 1e3),
             grad_ms=float(np.median(self.grad_samples) * 1e3),
+            blas_threads=blas_threads,
         )
 
 
@@ -246,13 +250,13 @@ def run_cells(
         _TimedTarget(data, mode, base_n, delta_n, q, support)
         for mode, base_n, delta_n, q in cells
     ]
-    with _single_thread_pools():
+    with _single_thread_pools() as counts:
         for target in targets:
             target.calibrate(min_loop_s)
         for _ in range(reps):
             for target in targets:
                 target.sample()
-    return [t.row() for t in targets]
+    return [t.row(max(counts, default=0)) for t in targets]
 
 
 def run_bench(
@@ -279,11 +283,11 @@ def run_bench(
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:
-    header = "mode,n,N,q,p,nnz,sparse_bytes,dense_bytes,nll_ms,grad_ms"
+    header = "mode,n,N,q,p,nnz,sparse_bytes,dense_bytes,nll_ms,grad_ms,blas_threads"
     lines = [header]
     for r in rows:
         lines.append(
             f"{r.mode},{r.n},{r.delta_n},{r.q},{r.p},{r.nnz},"
-            f"{r.sparse_bytes},{r.dense_bytes},{r.nll_ms:.6f},{r.grad_ms:.6f}"
+            f"{r.sparse_bytes},{r.dense_bytes},{r.nll_ms:.6f},{r.grad_ms:.6f},{r.blas_threads}"
         )
     return "\n".join(lines) + "\n"

@@ -6,20 +6,24 @@ an event exactly at t_l contributes nothing (non-anticipation), and a lag of
 exactly A lands in the last bin.  Z carries the same counts pushed through
 the basis evaluations at the bin lags.  Column blocks are channel-major.
 Binning compares lags in exact floating point.
+
+H is assembled without a per-event loop: for each channel, the row windows
+of all events come from one searchsorted over the grid, the (event, row)
+pairs are laid out with np.repeat, their lags binned by one searchsorted
+into the lag grid, and the pairs counted directly into CSR.  A lag bin
+holding more than one event of a channel at one grid time gives a count
+above 1; multi_hit_count reports how many.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .events import TimeGrid, Trial
-from .sparse import SparseCsr, from_triplets
+from .sparse import SparseCsr, from_coordinate_counts, from_triplets
 from .splines import SplineBasis, eval_compact
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,49 +63,60 @@ class ModelMatrices:
     z: SparseCsr | None = None
 
 
-def _window_rows(points: np.ndarray, sigma: float, support: float) -> tuple[int, int]:
-    """Row range [lo, hi) with sigma < t_l <= sigma + support (float-safe upper pad)."""
+def _window_rows(
+    points: np.ndarray, sigma: np.ndarray, support: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ranges [lo, hi) per event, holding every row with sigma < t_l and t_l - sigma <= support.
+
+    The upper bound from searchsorted on sigma + support can fall short of the
+    rows whose rounded lag t_l - sigma is still <= support, so it is padded
+    up to them (float-safe upper pad).  It can also overshoot by rows whose
+    lag rounds above support; callers drop those by their lag.
+    """
     lo = np.searchsorted(points, sigma, side="right")
     hi = np.searchsorted(points, sigma + support, side="right")
-    while hi < len(points) and points[hi] - sigma <= support:
-        hi += 1
-    return int(lo), int(hi)
+    pad = hi < len(points)
+    pad[pad] = points[hi[pad]] - sigma[pad] <= support
+    while np.any(pad):
+        hi[pad] += 1
+        pad &= hi < len(points)
+        pad[pad] = points[hi[pad]] - sigma[pad] <= support
+    return lo, hi
 
 
 def build_h(
     trial: Trial, grid: TimeGrid, delta: DeltaGrid, channels: list[str]
 ) -> SparseCsr:
-    """Sparse (n+1) x (p*N) lag-count matrix for one trial."""
+    """Sparse (n+1) x (p*N) lag-count matrix for one trial.
+
+    One vectorized pass per channel: the row windows of all events, the lag
+    of every (event, row) pair in them, one lag-grid search, and the pairs
+    counted straight into CSR.
+    """
     n_bins = delta.n_bins
     support = delta.support
     points = grid.points
     rows_out, cols_out = [], []
     for chan_pos, channel in enumerate(channels):
-        for sigma in trial.events[channel]:
-            lo, hi = _window_rows(points, sigma, support)
-            if lo >= hi:
-                continue
-            rows = np.arange(lo, hi)
-            lags = points[lo:hi] - sigma
-            ok = (lags > 0.0) & (lags <= support)
-            rows, lags = rows[ok], lags[ok]
-            bins = np.searchsorted(delta.points, lags, side="right") - 1
-            bins[lags == support] = n_bins - 1  # closed last bin
-            rows_out.append(rows)
-            cols_out.append(chan_pos * n_bins + bins)
-    if rows_out:
-        rows = np.concatenate(rows_out)
-        cols = np.concatenate(cols_out)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-    h = from_triplets(grid.n + 1, len(channels) * n_bins, (rows, cols, np.ones(len(rows))))
-    multi = int(np.count_nonzero(h.values > 1.0))
-    if multi:
-        log.warning(
-            "lag grid too coarse: %d bin counts exceed 1 (intended to be 0/1 only)", multi
-        )
-    return h
+        sigma = trial.events[channel]
+        lo, hi = _window_rows(points, sigma, support)
+        counts = hi - lo
+        event = np.repeat(np.arange(len(sigma)), counts)
+        rows = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        lags = points[rows] - sigma[event]
+        ok = lags <= support  # rows >= lo already give lags > 0
+        rows, lags = rows[ok], lags[ok]
+        bins = np.searchsorted(delta.points, lags, side="right") - 1
+        bins[lags == support] = n_bins - 1  # closed last bin
+        rows_out.append(rows)
+        cols_out.append(chan_pos * n_bins + bins)
+    empty = np.empty(0, dtype=np.int64)
+    return from_coordinate_counts(
+        grid.n + 1,
+        len(channels) * n_bins,
+        np.concatenate(rows_out) if rows_out else empty,
+        np.concatenate(cols_out) if cols_out else empty,
+    )
 
 
 def multi_hit_count(h: SparseCsr) -> int:
@@ -159,8 +174,8 @@ def build_z_direct(
     points = grid.points
     rows_out, cols_out, vals_out = [], [], []
     for chan_pos, channel in enumerate(channels):
-        for sigma in trial.events[channel]:
-            lo, hi = _window_rows(points, sigma, support)
+        sigmas = trial.events[channel]
+        for sigma, lo, hi in zip(sigmas, *_window_rows(points, sigmas, support)):
             if lo >= hi:
                 continue
             rows = np.arange(lo, hi)

@@ -103,7 +103,10 @@ def make_time_grid(trial: Trial, target: str, base_n: int) -> TimeGrid:
 
     An event within MERGE_TOL of an interior uniform point replaces that
     point, so the event time itself is always a grid value and every spacing
-    stays positive.
+    stays positive.  The points come in the order of a left-to-right merge
+    of the two sorted sequences that puts a uniform point before an equal
+    event and lets an event take the first not yet used interior uniform
+    point within MERGE_TOL; a merge that leaves points out of order raises.
     """
     if base_n < 1:
         raise ValueError("base_n must be >= 1")
@@ -111,42 +114,70 @@ def make_time_grid(trial: Trial, target: str, base_n: int) -> TimeGrid:
         raise KeyError(f"target channel {target!r} not present")
     uniform = np.linspace(0.0, trial.t_end, base_n + 1)
     taus = trial.events[target]
-
-    points: list[float] = []
-    is_jump: list[bool] = []
-    iu, ie = 0, 0
-    while iu < len(uniform) or ie < len(taus):
-        if ie >= len(taus):
-            points.append(uniform[iu])
-            is_jump.append(False)
-            iu += 1
-        elif iu >= len(uniform):
-            points.append(taus[ie])
-            is_jump.append(True)
-            ie += 1
-        else:
-            u, tau = uniform[iu], taus[ie]
-            interior = 0 < iu < len(uniform) - 1
-            if interior and abs(u - tau) <= MERGE_TOL:
-                points.append(tau)  # event value wins the merge
-                is_jump.append(True)
-                iu += 1
-                ie += 1
-            elif u <= tau:
-                points.append(u)
-                is_jump.append(False)
-                iu += 1
-            else:
-                points.append(tau)
-                is_jump.append(True)
-                ie += 1
-
-    pts = np.asarray(points)
+    slot, merged = _merge_slots(uniform, taus)
+    keep = np.ones(len(uniform), dtype=bool)
+    keep[slot[merged]] = False
+    kept = np.flatnonzero(keep)
+    # event e is emitted after the e earlier events and the kept uniform points before its slot
+    jump_indices = np.arange(len(taus)) + np.searchsorted(kept, slot)
+    pts = np.empty(len(kept) + len(taus))
+    is_jump = np.zeros(len(pts), dtype=bool)
+    is_jump[jump_indices] = True
+    pts[is_jump] = taus
+    pts[~is_jump] = uniform[kept]
     deltas = np.diff(pts)
     if np.any(deltas <= 0.0):
         raise ValueError("grid spacings must be positive")
-    jump_indices = np.flatnonzero(np.asarray(is_jump))
     return TimeGrid(pts, deltas, jump_indices)
+
+
+def _merge_slots(uniform: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per event, the uniform index at which the merge meets it, and whether it replaces that point.
+
+    An unmerged event is emitted just before uniform point ``slot``; a merged
+    one in its place.  Event e may replace any interior point in [a_e, b_e),
+    the contiguous run with |u_j - tau_e| <= MERGE_TOL (empty runs are set to
+    the first point above tau_e), but only one the earlier events left
+    unused: slot_e = max(a_e, next unused point).  That recurrence is solved
+    by fixed-point passes from slot = a, which rise monotonically to its
+    solution.  One pass settles it unless events contend for the same
+    points; each further pass settles one more event of the longest chain
+    of contending events.
+    """
+    last = len(uniform) - 1
+    above = np.searchsorted(uniform, taus, side="right")
+
+    def close(j, sel):
+        return np.abs(uniform[j] - taus[sel]) <= MERGE_TOL
+
+    # The close points below tau are a suffix of [0, above) and those above a
+    # prefix of [above, last].  Searches on tau -+ 2 MERGE_TOL bracket them
+    # with a margin far above rounding error; the walks shrink each end to
+    # the exact test.
+    a = np.minimum(np.searchsorted(uniform, taus - 2 * MERGE_TOL, side="left"), above)
+    sel = np.flatnonzero(a < above)
+    while len(sel):
+        sel = sel[~close(a[sel], sel)]
+        a[sel] += 1
+        sel = sel[a[sel] < above[sel]]
+    b = np.clip(np.searchsorted(uniform, taus + 2 * MERGE_TOL, side="right"), above, last + 1)
+    sel = np.flatnonzero(b > above)
+    while len(sel):
+        sel = sel[~close(b[sel] - 1, sel)]
+        b[sel] -= 1
+        sel = sel[b[sel] > above[sel]]
+    a = np.maximum(a, 1)  # only interior points merge
+    b = np.minimum(b, last)
+    empty = a >= b
+    a[empty] = b[empty] = above[empty]
+    slot = a.copy()
+    while len(slot):
+        prev = slot
+        slot = a.copy()
+        slot[1:] = np.maximum(prev[:-1] + (prev[:-1] < b[:-1]), a[1:])
+        if np.array_equal(slot, prev):
+            break
+    return slot, slot < b
 
 
 def split_replications(data: EventData, holdout: int) -> tuple[EventData, EventData]:

@@ -6,9 +6,14 @@ likelihood:
     K_hat = sum_l x_l x_l^T phi'(xi_l)^2 / phi(xi_l) Delta_l,
 
 with x_l the design row in the working parametrization, [1, blocks mapped
-through the Gram factor].  J_hat adds 2 lambda on the penalized coordinates
-(the baseline gets none), the covariance is the sandwich J^-1 K J^-1, and
-TIC = nll + tr(J^-1 K).
+through FilterSpec.design_map]: the row of H times U (direct) or of Z times
+V^-T (basis), so that xi_l = x_l . (beta0, beta).  J_hat adds 2 lambda on
+the penalized coordinates (the baseline gets none), the covariance is the
+sandwich J^-1 K J^-1, and TIC = nll + tr(J^-1 K).
+
+The sum runs over row chunks of a fixed byte size: each chunk of x_l is a
+sparse-times-dense product of the stored design rows with the map, so the
+design is never densified, and working memory is one chunk plus K_hat.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 from .objective import Coefficients, FilterSpec, ObjectiveContext, linear_predictor, reconstruct_filter
 
 Z_95 = 1.96
-_CHUNK_ROWS = 8192
+# bytes of one dense chunk of working-design rows in fisher_hat
+_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(eq=False)
@@ -54,26 +60,6 @@ class FilterBand:
     upper: np.ndarray
 
 
-def _design_chunk(ctx: ObjectiveContext, lo: int, hi: int) -> np.ndarray:
-    """Dense rows lo:hi of the working design [1, mapped blocks]."""
-    spec = ctx.spec
-    width = spec.design_block_width
-    rows = hi - lo
-    out = np.empty((rows, 1 + spec.n_channels * spec.q))
-    out[:, 0] = 1.0
-    if spec.n_channels == 0:
-        return out
-    block = ctx.design.rows_dense(lo, hi)
-    for i in range(spec.n_channels):
-        sub = block[:, i * width : (i + 1) * width]
-        if spec.mode == "direct":
-            mapped = sub @ spec.factor.factor
-        else:
-            mapped = spec.basis_factor.expansion_coefs(sub.T).T
-        out[:, 1 + i * spec.q : 1 + (i + 1) * spec.q] = mapped
-    return out
-
-
 def fisher_hat(ctx: ObjectiveContext, coef: Coefficients) -> np.ndarray:
     """Discretized information estimate in the working parametrization."""
     xi = linear_predictor(ctx, coef)
@@ -84,11 +70,17 @@ def fisher_hat(ctx: ObjectiveContext, coef: Coefficients) -> np.ndarray:
         raise ZeroDivisionError(
             f"zero intensity with nonzero weight at grid row {int(np.flatnonzero(bad)[0])}"
         )
-    dim = 1 + ctx.spec.n_channels * ctx.spec.q
+    spec = ctx.spec
+    dim = 1 + spec.n_channels * spec.q
+    block_map = spec.design_map()
+    step = max(1, _CHUNK_BYTES // (8 * dim))
     k_hat = np.zeros((dim, dim))
-    for lo in range(0, ctx.n_rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, ctx.n_rows)
-        chunk = _design_chunk(ctx, lo, hi)
+    for lo in range(0, ctx.n_rows, step):
+        hi = min(lo + step, ctx.n_rows)
+        chunk = np.empty((hi - lo, dim))
+        chunk[:, 0] = 1.0
+        if spec.n_channels:
+            ctx.design.block_product(lo, hi, block_map, chunk[:, 1:])
         k_hat += chunk.T @ (chunk * weights[lo:hi, None])
     return 0.5 * (k_hat + k_hat.T)
 

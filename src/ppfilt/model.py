@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import inference
-from .design import DeltaGrid, ModelMatrices, build_h, build_z, build_z_direct, make_delta_grid
+from .design import (
+    DeltaGrid,
+    ModelMatrices,
+    build_h,
+    build_z,
+    build_z_direct,
+    make_delta_grid,
+    multi_hit_count,
+)
 from .events import EventData, Trial, make_time_grid, split_replications
 from .kernels import (
     DEFAULT_SPECTRAL_THRESHOLD,
@@ -21,6 +30,8 @@ from .links import LinkFunction, log_link
 from .objective import Coefficients, FilterSpec, ObjectiveContext, nll
 from .optimize import OptimSettings, minimize
 from .splines import basis_eval_matrix, basis_gram, make_basis
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,13 @@ def build_context(
         build_trial_matrices(trial, config, spec, inputs, base_n or config.base_n)
         for trial in data.trials
     ]
+    multi = sum(multi_hit_count(m.h) for m in matrices)
+    if multi:
+        nnz = sum(m.h.nnz for m in matrices)
+        log.warning(
+            "lag grid too coarse: %d of %d lag counts exceed 1 (%.3g%%; intended to be 0/1 only)",
+            multi, nnz, 100.0 * multi / nnz,
+        )
     return ObjectiveContext(matrices, config.family, config.lam, spec)
 
 

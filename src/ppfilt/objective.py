@@ -90,6 +90,17 @@ class FilterSpec:
             return blocks @ self.factor.factor
         return self.basis_factor.pull_gradient(blocks.T).T
 
+    def design_map(self) -> np.ndarray:
+        """(design block width, q) matrix M of the per-channel map in expand_coef.
+
+        expand_coef applies M to each channel block, so a design block times M
+        is that channel's block of the working design: U (direct) or V^-T
+        (basis, from one set of triangular solves against the identity).
+        """
+        if self.mode == "direct":
+            return self.factor.factor
+        return self.basis_factor.expansion_coefs(np.eye(self.q))
+
     def lag_curve_matrix(self) -> np.ndarray:
         """(N, q) map from a coefficient block to filter values at the bin lags.
 

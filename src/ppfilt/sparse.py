@@ -1,10 +1,12 @@
 """Compressed sparse row matrices sized for event-history design matrices.
 
 Only the operations the likelihood machinery needs are provided: triplet
-assembly, matrix-vector products in both directions, memory accounting and a
-small binary dump format.  The heavy products are delegated to scipy's CSR
-kernels, which accumulate each row in column order, so results are bitwise
-reproducible run to run.
+assembly, direct assembly of count matrices, matrix-vector products in both
+directions, memory accounting and a small binary dump format.  The heavy
+products are delegated to scipy's CSR kernels, which accumulate each row in
+column order, so results are bitwise reproducible run to run.  Indices are
+stored as int32; every constructor that casts to them raises OverflowError
+when a row count, column count or nnz does not fit, instead of wrapping.
 """
 
 from __future__ import annotations
@@ -16,6 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 
 _MAGIC = b"PPH1"
+_INDEX_MAX = int(np.iinfo(np.int32).max)
+
+
+def _check_index_width(nrows: int, ncols: int, nnz: int) -> None:
+    """Raise OverflowError unless int32 row/column indices and row offsets can hold the sizes."""
+    for what, size in (("nrows", nrows), ("ncols", ncols), ("nnz", nnz)):
+        if size > _INDEX_MAX:
+            raise OverflowError(f"{what} = {size} exceeds the int32 index range of SparseCsr")
 
 
 @dataclass(frozen=True)
@@ -54,9 +64,21 @@ class SparseCsr:
     def toarray(self) -> np.ndarray:
         return self._sp.toarray()
 
-    def rows_dense(self, lo: int, hi: int) -> np.ndarray:
-        """Dense copy of the row block lo:hi."""
-        return self._sp[lo:hi].toarray()
+    def block_product(self, lo: int, hi: int, block_map: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write rows lo:hi times blockdiag(block_map, ..., block_map) into ``out``.
+
+        The columns form k consecutive blocks of block_map's row count w; each
+        block is multiplied by the dense (w, q) block_map, giving the dense
+        (hi - lo, k * q) ``out``.  No dense copy of the sparse rows is made.
+        """
+        width, q = block_map.shape
+        n_blocks, rem = divmod(self.ncols, width)
+        if rem:
+            raise ValueError(f"column count {self.ncols} is not a multiple of {width}")
+        rows = self._sp[lo:hi]
+        for i in range(n_blocks):
+            out[:, i * q : (i + 1) * q] = rows[:, i * width : (i + 1) * width] @ block_map
+        return out
 
 
 def from_triplets(
@@ -105,10 +127,43 @@ def from_triplets(
         rows, cols, summed = rows[keep], cols[keep], summed[keep]
     else:
         summed = vals
+    _check_index_width(nrows, ncols, len(summed))
     row_ptr = np.zeros(nrows + 1, dtype=np.int32)
     np.add.at(row_ptr, rows + 1, 1)
     row_ptr = np.cumsum(row_ptr, dtype=np.int64).astype(np.int32)
     return SparseCsr(nrows, ncols, row_ptr, cols.astype(np.int32), summed)
+
+
+def from_coordinate_counts(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> SparseCsr:
+    """CSR whose entry (r, c) is the number of times the pair (r, c) occurs.
+
+    The pairs are sorted once on the linear key r * ncols + c, so the columns
+    of each row come out sorted and repeated pairs adjacent; each run of
+    equal keys becomes one stored count.  Counts are exact integers, so the
+    result does not depend on the input ordering.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape:
+        raise ValueError("row and column arrays must have equal length")
+    if len(rows):
+        if rows.min() < 0 or rows.max() >= nrows:
+            raise ValueError("row index out of range")
+        if cols.min() < 0 or cols.max() >= ncols:
+            raise ValueError("column index out of range")
+    _check_index_width(nrows, ncols, 0)  # also keeps the int64 keys below from overflowing
+    keys = rows * ncols + cols
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    keys = keys[starts]
+    _check_index_width(nrows, ncols, len(keys))
+    counts = np.diff(starts, append=len(first)).astype(np.float64)
+    row_ptr = np.searchsorted(keys, np.arange(nrows + 1, dtype=np.int64) * ncols)
+    return SparseCsr(
+        nrows, ncols, row_ptr.astype(np.int32), (keys % ncols).astype(np.int32), counts
+    )
 
 
 def vstack(blocks: list[SparseCsr]) -> SparseCsr:
@@ -119,6 +174,7 @@ def vstack(blocks: list[SparseCsr]) -> SparseCsr:
     if any(b.ncols != ncols for b in blocks):
         raise ValueError("column counts differ")
     nrows = sum(b.nrows for b in blocks)
+    _check_index_width(nrows, ncols, sum(b.nnz for b in blocks))
     ptr = [np.zeros(1, dtype=np.int32)]
     offset = 0
     for b in blocks:
@@ -171,6 +227,7 @@ def load_bytes(buf: bytes) -> SparseCsr:
     if buf[:4] != _MAGIC:
         raise ValueError("bad magic bytes")
     nrows, ncols, nnz = struct.unpack_from("<QQQ", buf, 4)
+    _check_index_width(nrows, ncols, nnz)
     off = 4 + 24
     row_ptr = np.frombuffer(buf, dtype="<i8", count=nrows + 1, offset=off)
     off += (nrows + 1) * 8

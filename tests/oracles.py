@@ -75,3 +75,71 @@ def finite_difference_gradient(ctx, coef, h_scale=1e-6):
 def analytic_gradient_vector(ctx, coef):
     d0, dbeta = gradient(ctx, coef)
     return np.concatenate([[d0], dbeta.ravel()])
+
+
+def merge_loop_time_grid(trial, target, base_n):
+    """The element-by-element merge of the uniform grid and the target events."""
+    from ppfilt.events import MERGE_TOL, TimeGrid
+
+    uniform = np.linspace(0.0, trial.t_end, base_n + 1)
+    taus = trial.events[target]
+    points, is_jump = [], []
+    iu, ie = 0, 0
+    while iu < len(uniform) or ie < len(taus):
+        if ie >= len(taus):
+            points.append(uniform[iu])
+            is_jump.append(False)
+            iu += 1
+        elif iu >= len(uniform):
+            points.append(taus[ie])
+            is_jump.append(True)
+            ie += 1
+        else:
+            u, tau = uniform[iu], taus[ie]
+            interior = 0 < iu < len(uniform) - 1
+            if interior and abs(u - tau) <= MERGE_TOL:
+                points.append(tau)  # event value wins the merge
+                is_jump.append(True)
+                iu += 1
+                ie += 1
+            elif u <= tau:
+                points.append(u)
+                is_jump.append(False)
+                iu += 1
+            else:
+                points.append(tau)
+                is_jump.append(True)
+                ie += 1
+    pts = np.asarray(points)
+    deltas = np.diff(pts)
+    if np.any(deltas <= 0.0):
+        raise ValueError("grid spacings must be positive")
+    return TimeGrid(pts, deltas, np.flatnonzero(np.asarray(is_jump)))
+
+
+def triplet_lag_counts(trial, grid, delta, channels):
+    """H by one window per event, assembled through from_triplets."""
+    from ppfilt.sparse import from_triplets
+
+    points = grid.points
+    support = delta.support
+    rows_out, cols_out = [], []
+    for chan_pos, channel in enumerate(channels):
+        for sigma in trial.events[channel]:
+            lo = np.searchsorted(points, sigma, side="right")
+            hi = np.searchsorted(points, sigma + support, side="right")
+            while hi < len(points) and points[hi] - sigma <= support:
+                hi += 1
+            if lo >= hi:
+                continue
+            rows = np.arange(lo, hi)
+            lags = points[lo:hi] - sigma
+            ok = (lags > 0.0) & (lags <= support)
+            rows, lags = rows[ok], lags[ok]
+            bins = np.searchsorted(delta.points, lags, side="right") - 1
+            bins[lags == support] = delta.n_bins - 1
+            rows_out.append(rows)
+            cols_out.append(chan_pos * delta.n_bins + bins)
+    rows = np.concatenate(rows_out) if rows_out else np.empty(0, dtype=np.int64)
+    cols = np.concatenate(cols_out) if cols_out else np.empty(0, dtype=np.int64)
+    return from_triplets(grid.n + 1, len(channels) * delta.n_bins, (rows, cols, np.ones(len(rows))))

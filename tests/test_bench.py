@@ -36,8 +36,9 @@ class TestSingleThreadPools:
     def test_pins_every_pool_and_restores(self, pools_at_two_threads, caplog):
         pools = pools_at_two_threads
         assert [pool.get() for pool in pools] == [2] * len(pools)
-        with bench._single_thread_pools():
+        with bench._single_thread_pools() as counts:
             assert [pool.get() for pool in pools] == [1] * len(pools)
+            assert counts and set(counts) == {1}
         assert [pool.get() for pool in pools] == [2] * len(pools)
         assert _not_pinned_warnings(caplog) == []
 
@@ -80,3 +81,29 @@ class TestSingleThreadPools:
         rows = run_cells(data, [("direct", 500, 20, 5)], reps=2, min_loop_s=1e-4)
         assert len(rows) == 1 and rows[0].nll_ms > 0
         assert len(_not_pinned_warnings(caplog)) == 1
+
+
+class TestBlasThreadsColumn:
+    def _cells(self):
+        return run_cells(hawkes_like_data(p=1, t_end=5.0), [("direct", 500, 20, 5)],
+                         reps=2, min_loop_s=1e-4)
+
+    def test_pinned_rows_record_one_thread(self, pools_at_two_threads):
+        rows = self._cells()
+        assert rows[0].blas_threads == 1
+        header, line = bench.rows_to_csv(rows).splitlines()
+        assert header.split(",")[-1] == "blas_threads"
+        assert line.split(",")[-1] == "1"
+
+    def test_unpinned_rows_record_the_count_read_back(self, monkeypatch):
+        stuck = bench._OpenBlasPool(Path("stuck"), lambda: 2, lambda n: None)
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(bench, "_bundled_openblas", lambda: [stuck])
+        rows = self._cells()
+        assert rows[0].blas_threads == 2
+        assert bench.rows_to_csv(rows).splitlines()[1].split(",")[-1] == "2"
+
+    def test_no_pool_found_records_zero(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(bench, "_bundled_openblas", lambda: [])
+        assert self._cells()[0].blas_threads == 0

@@ -220,6 +220,6 @@ class TestBench:
         with (out / "bench.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["mode", "n", "N", "q", "p", "nnz",
-                           "sparse_bytes", "dense_bytes", "nll_ms", "grad_ms"]
+                           "sparse_bytes", "dense_bytes", "nll_ms", "grad_ms", "blas_threads"]
         assert len(rows) == 2
-        assert float(rows[1][-1]) > 0
+        assert float(rows[1][-2]) > 0

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppfilt.bench import hawkes_like_data
 from ppfilt.design import (
     build_h,
     build_z,
@@ -12,6 +15,8 @@ from ppfilt.design import (
 )
 from ppfilt.events import Trial, make_time_grid
 from ppfilt.splines import basis_eval_matrix, make_basis
+
+from oracles import triplet_lag_counts
 
 
 def brute_force_h(trial, grid, delta, channels):
@@ -31,6 +36,14 @@ def brute_force_h(trial, grid, delta, channels):
                     if delta.points[k] <= lag < delta.points[k + 1]:
                         out[l, i * n_bins + k] += 1
     return out
+
+
+def assert_same_csr(got, want):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    for name in ("row_ptr", "col_idx", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestDeltaGrid:
@@ -112,6 +125,44 @@ class TestBuildH:
         keep = grid.points <= 1.4
         keep_moved = grid_moved.points <= 1.4
         np.testing.assert_array_equal(h[keep], h_moved[keep_moved])
+
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 63) | st.floats(0.01, 3.99), max_size=10),
+            min_size=2, max_size=2,
+        ),
+        st.integers(2, 9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_triplet_builder(self, raw, n_bins):
+        # integers are multiples of the 1/16 grid spacing: events on grid points,
+        # and lags of exactly A = 1/4 (an exact binary fraction)
+        events = {
+            ch: np.unique([v / 16.0 if isinstance(v, int) else v for v in vals])
+            for ch, vals in zip(("a", "b"), raw)
+        }
+        trial = Trial(t_end=4.0, events=events)
+        grid = make_time_grid(trial, "a", base_n=64)
+        delta = make_delta_grid(0.25, n_bins)
+        assert_same_csr(
+            build_h(trial, grid, delta, ["a", "b"]),
+            triplet_lag_counts(trial, grid, delta, ["a", "b"]),
+        )
+
+    def test_bitwise_equal_to_triplet_builder_on_hawkes_data(self):
+        data = hawkes_like_data(p=3, t_end=40.0, seed=5)
+        trial = data.trials[0]
+        grid = make_time_grid(trial, "c0", 16000)
+        delta = make_delta_grid(0.4, 400)
+        h = build_h(trial, grid, delta, data.channels)
+        assert multi_hit_count(h) > 0  # duplicates are summed, as by the triplet builder
+        assert_same_csr(h, triplet_lag_counts(trial, grid, delta, data.channels))
+
+    def test_no_channels(self):
+        trial = Trial(t_end=1.0, events={"a": [0.5]})
+        grid = make_time_grid(trial, "a", base_n=4)
+        h = build_h(trial, grid, make_delta_grid(0.5, 5), [])
+        assert (h.nrows, h.ncols, h.nnz) == (grid.n + 1, 0, 0)
 
     def test_multi_hit_counter(self):
         trial = Trial(t_end=1.0, events={"a": [0.30, 0.31]})

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppfilt.bench import hawkes_like_data
 from ppfilt.events import (
+    MERGE_TOL,
     EventData,
     Trial,
     load_events,
@@ -15,6 +17,39 @@ from ppfilt.events import (
 )
 
 from conftest import make_event_data
+from oracles import merge_loop_time_grid
+
+# offsets that put an event exactly at, just inside and just outside MERGE_TOL of a point
+_EDGE_OFFSETS = [
+    sign * off
+    for off in (0.0, 5e-13, MERGE_TOL, np.nextafter(MERGE_TOL, 0.0), np.nextafter(MERGE_TOL, 1.0))
+    for sign in (1.0, -1.0)
+]
+
+
+@st.composite
+def grids_with_near_events(draw):
+    """(t_end, base_n, events) with events at and within ~MERGE_TOL of uniform points.
+
+    Some grids have a spacing near MERGE_TOL, so one event can be within the
+    tolerance of several uniform points and several events of one point.
+    """
+    base_n = draw(st.integers(1, 40))
+    spacing = draw(st.sampled_from([None, 0.4e-12, 1e-12, 1.5e-12, 2e-12, 3e-12]))
+    t_end = base_n * spacing if spacing else draw(st.sampled_from([1.0, 7.3, 0.01]))
+    uniform = np.linspace(0.0, t_end, base_n + 1)
+    offset = st.sampled_from(_EDGE_OFFSETS) | st.floats(-2e-12, 2e-12)
+    anchored = draw(st.lists(st.tuples(st.integers(0, base_n), offset), max_size=12))
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8))
+    times = np.unique([uniform[j] + off for j, off in anchored] + [f * t_end for f in free])
+    return t_end, base_n, times[(times > 0.0) & (times < t_end)]
+
+
+def assert_same_grid(grid, expected):
+    for name in ("points", "deltas", "jump_indices"):
+        got, want = getattr(grid, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 class TestTrial:
@@ -127,6 +162,25 @@ class TestTimeGrid:
         assert np.all(grid.deltas > 0)
         assert abs(grid.deltas.sum() - 1.0) <= 1e-12
         assert grid.n <= base_n + len(times)
+
+
+    @given(grids_with_near_events())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_merge_loop(self, case):
+        t_end, base_n, times = case
+        trial = Trial(t_end=t_end, events={"a": times})
+        try:
+            expected = merge_loop_time_grid(trial, "a", base_n)
+        except ValueError:
+            with pytest.raises(ValueError, match="grid spacings must be positive"):
+                make_time_grid(trial, "a", base_n)
+            return
+        assert_same_grid(make_time_grid(trial, "a", base_n), expected)
+
+    def test_matches_merge_loop_on_hawkes_data(self):
+        trial = hawkes_like_data(p=1, t_end=60.0, seed=3).trials[0]
+        expected = merge_loop_time_grid(trial, "c0", 24000)
+        assert_same_grid(make_time_grid(trial, "c0", 24000), expected)
 
 
 class TestSplit:

@@ -1,8 +1,11 @@
 """Information estimate, sandwich algebra, TIC and confidence bands."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ppfilt import inference
 from ppfilt.design import ModelMatrices, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
 from ppfilt.inference import (
@@ -17,10 +20,11 @@ from ppfilt.inference import (
 )
 from ppfilt.kernels import Kernel, gram_matrix, spectral_factorize
 from ppfilt.links import identity_link, log_link
-from ppfilt.objective import Coefficients, FilterSpec, ObjectiveContext, linear_predictor
+from ppfilt.model import FitConfig, build_context
+from ppfilt.objective import Coefficients, FilterSpec, ObjectiveContext, gradient, linear_predictor
 from ppfilt.sparse import from_triplets
 
-from conftest import build_t1_context
+from conftest import build_t1_context, make_event_data
 
 
 def dense_fisher_oracle(ctx, coef):
@@ -41,11 +45,41 @@ def dense_fisher_oracle(ctx, coef):
             if spec.mode == "direct":
                 x_row.extend(spec.factor.factor.T @ block)
             else:
-                x_row.extend(np.linalg.solve(spec.basis_factor.factor.T, block))
+                # xi = z . V^-T beta, so the row in beta coordinates is V^-1 z
+                x_row.extend(np.linalg.solve(spec.basis_factor.factor, block))
         x_row = np.asarray(x_row)
         w = derivs[l] ** 2 / values[l] * ctx.delta_pad[l]
         out += w * np.outer(x_row, x_row)
     return out
+
+
+def multi_channel_pieces(mode, lam=0.2, base_n=300, delta_n=12, q=None):
+    """Three channels, three trials (so three zero-weight first rows), moderate xi."""
+    data = make_event_data(n_trials=3, t_end=10.0, channels=("a", "b", "c"), seed=7)
+    config = FitConfig(
+        target="a", support=0.5, base_n=base_n, delta_n=delta_n, mode=mode,
+        q=q or (5 if mode == "direct" else 6), family=log_link(), lam=lam,
+    )
+    ctx = build_context(data, config)
+    beta = np.random.default_rng(9).normal(size=(3, ctx.spec.q))
+    spread = np.abs(linear_predictor(ctx, Coefficients(beta0=0.0, beta=beta))).max()
+    return ctx, Coefficients(beta0=0.2, beta=beta / spread)
+
+
+def nll_hessian_by_differences(ctx, coef, step=1e-5):
+    """Central differences of the analytic gradient (the penalty is zero at lam = 0)."""
+    x = coef.pack()
+    p, q = ctx.spec.n_channels, ctx.spec.q
+    cols = []
+    for i in range(len(x)):
+        grads = []
+        for sign in (1.0, -1.0):
+            xs = x.copy()
+            xs[i] += sign * step
+            d0, dbeta = gradient(ctx, Coefficients.unpack(xs, p, q))
+            grads.append(np.concatenate([[d0], dbeta.ravel()]))
+        cols.append((grads[0] - grads[1]) / (2.0 * step))
+    return np.column_stack(cols)
 
 
 @pytest.fixture
@@ -93,6 +127,45 @@ class TestFisherHat:
         k_hat = fisher_hat(ctx, coef)
         oracle = dense_fisher_oracle(ctx, coef)
         np.testing.assert_allclose(k_hat, oracle, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1000])
+    @pytest.mark.parametrize("mode", ["direct", "basis"])
+    def test_multi_channel_multi_trial_matches_dense_oracle(self, mode, chunk_bytes, monkeypatch):
+        if chunk_bytes is not None:  # a few rows per chunk: many chunk boundaries
+            monkeypatch.setattr(inference, "_CHUNK_BYTES", chunk_bytes)
+        ctx, coef = multi_channel_pieces(mode)
+        spec = ctx.spec
+        assert spec.n_channels == 3 and len(ctx.row_offsets) == 4
+        assert np.count_nonzero(ctx.delta_pad == 0.0) == 3
+        if mode == "direct":
+            assert spec.q < spec.delta.n_bins
+        k_hat = fisher_hat(ctx, coef)
+        oracle = dense_fisher_oracle(ctx, coef)
+        np.testing.assert_allclose(k_hat, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("mode", ["direct", "basis"])
+    def test_log_link_information_is_the_nll_hessian(self, mode):
+        # for phi = exp the jump term is linear in xi, so K_hat is exactly the Hessian
+        ctx, coef = multi_channel_pieces(mode, lam=0.0)
+        k_hat = fisher_hat(ctx, coef)
+        hessian = nll_hessian_by_differences(ctx, coef)
+        np.testing.assert_allclose(k_hat, hessian, rtol=0, atol=1e-6 * np.abs(k_hat).max())
+
+    def test_working_memory_is_one_chunk(self):
+        # N = 400 lag bins against q = 6: a dense copy of design rows (width p * N)
+        # costs far more than a chunk of working-design rows (width 1 + p * q)
+        ctx, coef = multi_channel_pieces("direct", base_n=20000, delta_n=400, q=6)
+        n, dim = ctx.n_rows, 1 + 3 * 6
+        rows = min(n, max(1, inference._CHUNK_BYTES // (8 * dim)))
+        fisher_hat(ctx, coef)
+        tracemalloc.start()
+        try:
+            fisher_hat(ctx, coef)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 4 * rows * dim * 8 + 4 * dim * dim * 8 + 8 * n * 8
+        assert peak <= bound, f"peak {peak} B > bound {bound} B"
 
     def test_zero_intensity_error_names_row(self, t1_trial, t1_grid, t1_direct_spec):
         ctx = build_t1_context(t1_trial, t1_grid, t1_direct_spec, link=identity_link())

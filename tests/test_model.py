@@ -1,5 +1,6 @@
 """End-to-end fitting, cross-validation and the TIC scan on small simulations."""
 
+import logging
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ppfilt.events import EventData
 from ppfilt.links import log_link
-from ppfilt.model import FitConfig, build_spec, cross_validate, fit, model_scan
+from ppfilt.model import FitConfig, build_context, build_spec, cross_validate, fit, model_scan
 from ppfilt.optimize import OptimSettings
 from ppfilt.simulate import ExpFilter, SimConfig, simulate_trials
 
@@ -61,6 +62,25 @@ class TestBuildSpec:
         spec = build_spec(replace(small_config, mode="basis", q=8))
         assert spec.q == 8
         assert spec.basis.support == pytest.approx(0.3)
+
+
+class TestBuildContext:
+    def test_coarse_lag_grid_warns_once_per_context(self, small_data, small_config, caplog):
+        coarse = FitConfig(target="a", inputs=["a", "b"], support=0.3, base_n=400, delta_n=3)
+        with caplog.at_level(logging.WARNING):
+            ctx = build_context(small_data, coarse)
+        warnings = [r for r in caplog.records if "lag grid too coarse" in r.getMessage()]
+        assert len(warnings) == 1
+        multi = sum(int(np.count_nonzero(m.h.values > 1.0)) for m in ctx.matrices)
+        nnz = sum(m.h.nnz for m in ctx.matrices)
+        assert small_data.n_trials > 1 and multi > 0
+        assert f"{multi} of {nnz} lag counts" in warnings[0].getMessage()
+
+    def test_fine_lag_grid_does_not_warn(self, small_data, caplog):
+        fine = FitConfig(target="a", inputs=["a", "b"], support=0.3, base_n=400, delta_n=300)
+        with caplog.at_level(logging.WARNING):
+            build_context(small_data, fine)
+        assert not [r for r in caplog.records if "lag grid too coarse" in r.getMessage()]
 
 
 class TestFit:

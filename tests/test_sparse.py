@@ -1,13 +1,20 @@
 """Sparse CSR construction, products against dense oracles, memory and dump."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
+from ppfilt import sparse
+from ppfilt.design import build_h, make_delta_grid
+from ppfilt.events import Trial, make_time_grid
 from ppfilt.sparse import (
     SparseCsr,
     dump_bytes,
+    from_coordinate_counts,
     from_triplets,
     load_bytes,
     memory_footprint,
@@ -180,3 +187,95 @@ class TestVstack:
     def test_rejects_mismatched_widths(self):
         with pytest.raises(ValueError):
             vstack([from_triplets(1, 2, []), from_triplets(1, 3, [])])
+
+
+class TestFromCoordinateCounts:
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_triplets_of_ones(self, pairs):
+        rows = np.array([r for r, _ in pairs], dtype=np.int64)
+        cols = np.array([c for _, c in pairs], dtype=np.int64)
+        got = from_coordinate_counts(7, 5, rows, cols)
+        want = from_triplets(7, 5, (rows, cols, np.ones(len(rows))))
+        for name in ("row_ptr", "col_idx", "values"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="row"):
+            from_coordinate_counts(2, 2, np.array([2]), np.array([0]))
+        with pytest.raises(ValueError, match="column"):
+            from_coordinate_counts(2, 2, np.array([0]), np.array([2]))
+
+
+class TestBlockProduct:
+    @pytest.mark.parametrize("lo, hi", [(0, 12), (3, 7), (5, 5)])
+    def test_matches_dense_blockdiag(self, lo, hi):
+        rng = np.random.default_rng(11)
+        a = from_triplets(12, 3 * 4, random_triplets(rng, 12, 12, 30))
+        block_map = rng.normal(size=(4, 2))
+        expected = a.toarray()[lo:hi] @ block_diag(block_map, block_map, block_map)
+        out = np.full((hi - lo, 6), np.nan)
+        assert a.block_product(lo, hi, block_map, out) is out
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+
+    def test_width_must_divide_columns(self):
+        a = from_triplets(2, 5, [])
+        with pytest.raises(ValueError, match="multiple"):
+            a.block_product(0, 2, np.eye(2), np.empty((2, 4)))
+
+
+class TestIndexWidth:
+    """Sizes beyond int32 raise OverflowError; checked on a lowered limit, not real allocations."""
+
+    @pytest.mark.parametrize("field", ["nrows", "ncols", "nnz"])
+    def test_load_bytes_rejects_crafted_header(self, field):
+        sizes = {"nrows": 1, "ncols": 1, "nnz": 0}
+        sizes[field] = 2**31
+        head = b"PPH1" + struct.pack("<QQQ", sizes["nrows"], sizes["ncols"], sizes["nnz"])
+        with pytest.raises(OverflowError, match=field):
+            load_bytes(head)
+
+    def test_limit_is_int32(self):
+        assert sparse._INDEX_MAX == 2**31 - 1
+
+    def test_from_triplets(self, monkeypatch):
+        monkeypatch.setattr(sparse, "_INDEX_MAX", 4)
+        entries = [(i, i, 1.0) for i in range(4)]
+        assert from_triplets(4, 4, entries).nnz == 4
+        with pytest.raises(OverflowError, match="nnz"):
+            from_triplets(4, 4, entries + [(0, 1, 1.0)])
+        with pytest.raises(OverflowError, match="nrows"):
+            from_triplets(5, 4, [])
+        with pytest.raises(OverflowError, match="ncols"):
+            from_triplets(4, 5, [])
+
+    def test_vstack(self, monkeypatch):
+        monkeypatch.setattr(sparse, "_INDEX_MAX", 4)
+        row = from_triplets(1, 2, [(0, 0, 1.0), (0, 1, 1.0)])
+        assert vstack([row, row]).nnz == 4
+        with pytest.raises(OverflowError, match="nnz"):
+            vstack([row, row, row])
+        empty = from_triplets(1, 2, [])
+        assert vstack([empty] * 4).nrows == 4
+        with pytest.raises(OverflowError, match="nrows"):
+            vstack([empty] * 5)
+
+    def test_from_coordinate_counts(self, monkeypatch):
+        monkeypatch.setattr(sparse, "_INDEX_MAX", 4)
+        rows = np.array([0, 0, 1, 1, 1])
+        cols = np.array([0, 0, 1, 2, 3])
+        assert from_coordinate_counts(4, 4, rows, cols).nnz == 4  # repeats are one entry
+        with pytest.raises(OverflowError, match="nnz"):
+            from_coordinate_counts(4, 4, rows, np.array([0, 1, 1, 2, 3]))
+        with pytest.raises(OverflowError, match="nrows"):
+            from_coordinate_counts(5, 4, rows, cols)
+
+    def test_build_h(self, monkeypatch):
+        trial = Trial(t_end=1.0, events={"a": [0.3, 0.6]})
+        grid = make_time_grid(trial, "a", base_n=10)
+        delta = make_delta_grid(0.5, 5)
+        nnz = build_h(trial, grid, delta, ["a"]).nnz
+        monkeypatch.setattr(sparse, "_INDEX_MAX", nnz - 1)
+        with pytest.raises(OverflowError):
+            build_h(trial, grid, delta, ["a"])
