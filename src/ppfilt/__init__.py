@@ -17,7 +17,7 @@ from .events import (
     split_replications,
 )
 from .inference import FilterBand, FitResult, filter_bands, fisher_hat, sandwich_cov, tic
-from .kernels import Kernel, cholesky_factorize, gram_matrix, kernel_eval, spectral_factorize
+from .kernels import Kernel, gram_matrix, kernel_eval, spectral_factorize
 from .links import LinkFunction, identity_link, log_link, logaffine_link, parse_family, root_link
 from .model import FitConfig, build_context, cross_validate, fit, model_scan
 from .objective import (

@@ -20,7 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from .events import load_events, save_events
 from .inference import filter_bands
-from .links import LinkFunction, parse_family
+from .links import parse_family
 from .model import FitConfig, cross_validate, fit, model_scan
 from .optimize import OptimSettings
 from .simulate import ExpFilter, ExplosionError, SimConfig, TabulatedFilter, simulate_trials

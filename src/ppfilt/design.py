@@ -4,7 +4,8 @@ For grid time t_l and input channel i, entry (l, i*N + k) of H counts the
 channel-i events whose lag t_l - sigma falls in [delta_k, delta_{k+1});
 an event exactly at t_l contributes nothing (non-anticipation), and a lag of
 exactly A lands in the last bin.  Z carries the same counts pushed through
-the basis evaluations at the bin lags.  Column blocks are channel-major.
+the basis evaluations at the bin lags, Z = H blockdiag(B, ..., B), formed
+as one sparse product.  Column blocks are channel-major.
 Binning compares lags in exact floating point.
 
 H is assembled without a per-event loop: for each channel, the row windows
@@ -125,44 +126,11 @@ def multi_hit_count(h: SparseCsr) -> int:
 
 
 def build_z(h: SparseCsr, basis_eval: np.ndarray, n_channels: int) -> SparseCsr:
-    """Z from H: per channel block, Z_{lj} = sum_k h_{lk} B_j(delta_k)."""
-    n_bins, q = basis_eval.shape
+    """Z from H: per channel block, Z_{lj} = sum_k h_{lk} B_j(delta_k), i.e. H blockdiag(B)."""
+    n_bins = basis_eval.shape[0]
     if h.ncols != n_channels * n_bins:
         raise ValueError("H column count does not match channels x bins")
-    h_rows = np.repeat(np.arange(h.nrows), np.diff(h.row_ptr))
-    chan = h.col_idx // n_bins
-    bins = h.col_idx % n_bins
-    rows_out, cols_out, vals_out = [], [], []
-    # expand every H entry through the <= 4 nonzeros of its bin's basis row
-    nz_cols = [np.flatnonzero(basis_eval[k]) for k in range(n_bins)]
-    order = np.argsort(bins, kind="stable")
-    sorted_bins = bins[order]
-    group_starts = np.concatenate(
-        [[0], np.flatnonzero(np.diff(sorted_bins)) + 1, [len(sorted_bins)]]
-    )
-    for g in range(len(group_starts) - 1):
-        sel = order[group_starts[g] : group_starts[g + 1]]
-        if len(sel) == 0:
-            continue
-        k = int(bins[sel[0]])
-        js = nz_cols[k]
-        if len(js) == 0:
-            continue
-        bvals = basis_eval[k, js]
-        rows_out.append(np.repeat(h_rows[sel], len(js)))
-        cols_out.append(
-            (chan[sel][:, None] * q + js[None, :]).ravel()
-        )
-        vals_out.append((h.values[sel][:, None] * bvals[None, :]).ravel())
-    if rows_out:
-        rows = np.concatenate(rows_out)
-        cols = np.concatenate(cols_out)
-        vals = np.concatenate(vals_out)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0)
-    return from_triplets(h.nrows, n_channels * q, (rows, cols, vals))
+    return h.block_diag_product(basis_eval)
 
 
 def build_z_direct(

@@ -6,7 +6,7 @@ likelihood:
     K_hat = sum_l x_l x_l^T phi'(xi_l)^2 / phi(xi_l) Delta_l,
 
 with x_l the design row in the working parametrization, [1, blocks mapped
-through FilterSpec.design_map]: the row of H times U (direct) or of Z times
+through FilterSpec.block_map]: the row of H times U (direct) or of Z times
 V^-T (basis), so that xi_l = x_l . (beta0, beta).  J_hat adds 2 lambda on
 the penalized coordinates (the baseline gets none), the covariance is the
 sandwich J^-1 K J^-1, and TIC = nll + tr(J^-1 K).
@@ -72,7 +72,6 @@ def fisher_hat(ctx: ObjectiveContext, coef: Coefficients) -> np.ndarray:
         )
     spec = ctx.spec
     dim = 1 + spec.n_channels * spec.q
-    block_map = spec.design_map()
     step = max(1, _CHUNK_BYTES // (8 * dim))
     k_hat = np.zeros((dim, dim))
     for lo in range(0, ctx.n_rows, step):
@@ -80,7 +79,7 @@ def fisher_hat(ctx: ObjectiveContext, coef: Coefficients) -> np.ndarray:
         chunk = np.empty((hi - lo, dim))
         chunk[:, 0] = 1.0
         if spec.n_channels:
-            ctx.design.block_product(lo, hi, block_map, chunk[:, 1:])
+            ctx.design.block_product(lo, hi, spec.block_map, chunk[:, 1:])
         k_hat += chunk.T @ (chunk * weights[lo:hi, None])
     return 0.5 * (k_hat + k_hat.T)
 
@@ -129,7 +128,7 @@ def filter_bands(
     q = spec.q
     beta_block = np.asarray(fit.coef.beta)[channel_index]
     estimate = reconstruct_filter(spec, beta_block)
-    curve_map = spec.lag_curve_matrix()
+    curve_map = spec.curve_map
     off = 1 + channel_index * q
     cov_block = fit.sandwich[off : off + q, off : off + q]
     variance = np.sum((curve_map @ cov_block) * curve_map, axis=1)

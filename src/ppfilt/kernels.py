@@ -58,19 +58,16 @@ def gram_matrix(kernel: Kernel, grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramFactor:
-    """Factorization G ~= U U^T used for the isometric reparametrization.
+    """Spectral factorization G ~= U U^T used for the isometric reparametrization.
 
-    ``factor`` is N x q.  For the spectral method the columns of U are
-    orthogonal; for Cholesky U is lower triangular and full rank (after the
-    recorded jitter was added to the diagonal).
+    ``factor`` is N x q with orthogonal columns: the eigenvectors kept by
+    the relative eigenvalue ``threshold``, scaled by sqrt(eigenvalue).
     """
 
     gram: np.ndarray
     factor: np.ndarray
     rank: int
-    method: str
     threshold: float = 0.0
-    jitter: float = 0.0
 
     @property
     def n_points(self) -> int:
@@ -102,27 +99,7 @@ def spectral_factorize(gram: np.ndarray, threshold: float = DEFAULT_SPECTRAL_THR
         gram=gram,
         factor=factor,
         rank=int(keep.sum()),
-        method="spectral",
         threshold=threshold,
-    )
-
-
-def cholesky_factorize(gram: np.ndarray, jitter: float = 0.0) -> GramFactor:
-    """Lower-triangular U with U U^T = G + jitter*I, escalating jitter x10 up to 3 times."""
-    gram = _check_symmetric(gram)
-    n = gram.shape[0]
-    current = jitter
-    for attempt in range(4):
-        try:
-            factor = np.linalg.cholesky(gram + current * np.eye(n))
-        except np.linalg.LinAlgError:
-            current = current * 10.0 if current > 0 else 1e-12 * max(np.trace(gram) / n, 1.0)
-            continue
-        return GramFactor(
-            gram=gram, factor=factor, rank=n, method="cholesky", jitter=current
-        )
-    raise np.linalg.LinAlgError(
-        f"Cholesky failed after 3 jitter escalations (last jitter {current:g})"
     )
 
 

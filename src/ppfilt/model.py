@@ -10,7 +10,6 @@ import numpy as np
 
 from . import inference
 from .design import (
-    DeltaGrid,
     ModelMatrices,
     build_h,
     build_z,
@@ -27,7 +26,7 @@ from .kernels import (
     threshold_for_rank,
 )
 from .links import LinkFunction, log_link
-from .objective import Coefficients, FilterSpec, ObjectiveContext, nll
+from .objective import FilterSpec, ObjectiveContext, nll
 from .optimize import OptimSettings, minimize
 from .splines import basis_eval_matrix, basis_gram, make_basis
 

@@ -5,21 +5,24 @@ With xi the linear predictor on the grid, the value is
     sum_l phi(xi_l) Delta_l  -  sum_{l in jumps} log phi(xi_l)  (+ penalty),
 
 a right Riemann sum over l = 1..n per trial, summed over trials.  Both
-parametrizations share one weight vector
+parametrizations are one linear map: each channel's coefficient block beta_i
+enters the design through FilterSpec.block_map M, so xi = beta0 + design
+(M beta_i)_i, with M = U (direct, design H) or V^-T (basis, design Z).  They
+share one weight vector
 
     w_l = phi'(xi_l) Delta_l  -  [l in jumps] phi'(xi_l) / phi(xi_l),
 
 from which the baseline gradient is sum_l w_l and the filter-block gradients
-are U^T (H^T w)_i + 2 lambda beta_i (direct) or the triangular-solve image of
-(Z^T w)_i plus the same ridge term (basis).  The baseline is never penalized.
+are M^T (design^T w)_i + 2 lambda beta_i.  The baseline is never penalized.
+One value-and-gradient evaluation forms xi once: one product with the design
+and one with its transpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .design import DeltaGrid, ModelMatrices
 from .kernels import GramFactor, Kernel
@@ -30,7 +33,14 @@ from .splines import BasisGramFactor, SplineBasis, basis_eval_matrix
 
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """Shared filter parametrization: kernel factor (direct) or spline basis."""
+    """Shared filter parametrization: kernel factor (direct) or spline basis.
+
+    ``block_map`` is the (design block width, q) matrix that takes one
+    channel's coefficient block to its working coefficients on the design:
+    U (direct) or V^-T (basis, formed once by triangular solves against the
+    identity).  ``curve_map`` is the (N, q) matrix that takes a block to the
+    filter values at the bin lags: U, or B V^-T with B the basis evaluations.
+    """
 
     mode: str
     n_channels: int
@@ -39,6 +49,8 @@ class FilterSpec:
     factor: GramFactor | None = None
     basis: SplineBasis | None = None
     basis_factor: BasisGramFactor | None = None
+    block_map: np.ndarray = field(init=False, repr=False)
+    curve_map: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode == "direct":
@@ -46,15 +58,20 @@ class FilterSpec:
                 raise ValueError("direct mode requires a Gram factor")
             if self.factor.n_points != self.delta.n_bins:
                 raise ValueError("Gram factor size must match the number of lag bins")
+            block_map = curve_map = self.factor.factor
         elif self.mode == "basis":
             if self.basis is None or self.basis_factor is None:
                 raise ValueError("basis mode requires a basis and its Gram factor")
+            block_map = self.basis_factor.expansion_coefs(np.eye(self.basis.q))
+            curve_map = basis_eval_matrix(self.basis, self.delta.bin_lags) @ block_map
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "block_map", block_map)
+        object.__setattr__(self, "curve_map", curve_map)
 
     @property
     def q(self) -> int:
-        return self.factor.rank if self.mode == "direct" else self.basis.q
+        return self.block_map.shape[1]
 
     @property
     def support(self) -> float:
@@ -62,56 +79,11 @@ class FilterSpec:
 
     @property
     def design_block_width(self) -> int:
-        return self.delta.n_bins if self.mode == "direct" else self.basis.q
+        return self.block_map.shape[0]
 
     @property
     def design_dim(self) -> int:
         return self.n_channels * self.design_block_width
-
-    def expand_coef(self, beta: np.ndarray) -> np.ndarray:
-        """Per-channel working coefficients, stacked channel-major.
-
-        direct: lag-bin evaluations U beta_i; basis: expansion coefficients
-        obtained by a triangular solve against the Gram factor.
-        """
-        beta = np.atleast_2d(beta)
-        if self.n_channels == 0:
-            return np.empty(0)
-        if self.mode == "direct":
-            return (beta @ self.factor.factor.T).ravel()
-        return self.basis_factor.expansion_coefs(beta.T).T.ravel()
-
-    def pull_back(self, blocks: np.ndarray) -> np.ndarray:
-        """Adjoint of expand_coef on per-channel blocks, shape (p, q) out."""
-        if self.n_channels == 0:
-            return np.zeros((0, self.q))
-        blocks = blocks.reshape(self.n_channels, self.design_block_width)
-        if self.mode == "direct":
-            return blocks @ self.factor.factor
-        return self.basis_factor.pull_gradient(blocks.T).T
-
-    def design_map(self) -> np.ndarray:
-        """(design block width, q) matrix M of the per-channel map in expand_coef.
-
-        expand_coef applies M to each channel block, so a design block times M
-        is that channel's block of the working design: U (direct) or V^-T
-        (basis, from one set of triangular solves against the identity).
-        """
-        if self.mode == "direct":
-            return self.factor.factor
-        return self.basis_factor.expansion_coefs(np.eye(self.q))
-
-    def lag_curve_matrix(self) -> np.ndarray:
-        """(N, q) map from a coefficient block to filter values at the bin lags.
-
-        Basis mode composes the expansion-coefficient map with the basis
-        evaluations: curve = B (V^-T beta), so the matrix is B V^-T, i.e. the
-        transpose of V^-1 B^T.
-        """
-        if self.mode == "direct":
-            return self.factor.factor
-        b_eval = basis_eval_matrix(self.basis, self.delta.bin_lags)
-        return self.basis_factor.pull_gradient(b_eval.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,60 +158,62 @@ class ObjectiveContext:
     def n_jumps(self) -> int:
         return len(self.jump_idx)
 
-    def trial_slice(self, idx: int) -> slice:
-        return slice(self.row_offsets[idx], self.row_offsets[idx + 1])
-
 
 def linear_predictor(ctx: ObjectiveContext, coef: Coefficients) -> np.ndarray:
-    """xi over all stacked grid rows: beta0 + design @ expanded coefficients."""
+    """xi over all stacked grid rows: beta0 + design @ mapped coefficient blocks."""
     xi = np.full(ctx.n_rows, coef.beta0)
     if ctx.spec.n_channels and ctx.design.nnz:
-        xi += spmv(ctx.design, ctx.spec.expand_coef(coef.beta))
+        xi += spmv(ctx.design, (np.atleast_2d(coef.beta) @ ctx.spec.block_map.T).ravel())
     return xi
 
 
-def nll(ctx: ObjectiveContext, coef: Coefficients) -> float:
-    """Unpenalized discretized negative log-likelihood; +inf signals an invalid point."""
-    xi = linear_predictor(ctx, coef)
-    values, _ = ctx.link.phi(xi)
+def _nll_at(ctx: ObjectiveContext, xi: np.ndarray, values: np.ndarray) -> float:
+    """Unpenalized nll from xi and phi(xi); +inf signals an invalid point."""
     integral = float(values @ ctx.delta_pad)
     jump_term = float(np.sum(ctx.link.log_phi(xi[ctx.jump_idx])))
     total = integral - jump_term
     return total if np.isfinite(total) else np.inf
 
 
-def penalized_nll(ctx: ObjectiveContext, coef: Coefficients) -> float:
-    return nll(ctx, coef) + ctx.lam * coef.penalty_norm2()
-
-
-def _weights(ctx: ObjectiveContext, xi: np.ndarray) -> np.ndarray:
-    _, derivs = ctx.link.phi(xi)
+def _gradient_at(
+    ctx: ObjectiveContext, coef: Coefficients, xi: np.ndarray, derivs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(d beta0, d beta) of the penalized objective from xi and phi'(xi)."""
     ratio = ctx.link.phi_ratio(xi[ctx.jump_idx])
     w = derivs * ctx.delta_pad
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(ratio))):
         raise ValueError("gradient evaluated at a point with +inf objective")
     np.subtract.at(w, ctx.jump_idx, ratio)
-    return w
+    spec = ctx.spec
+    blocks = spmv_t(ctx.design, w).reshape(spec.n_channels, spec.design_block_width)
+    return float(np.sum(w)), blocks @ spec.block_map + 2.0 * ctx.lam * coef.beta
+
+
+def nll(ctx: ObjectiveContext, coef: Coefficients) -> float:
+    """Unpenalized discretized negative log-likelihood; +inf signals an invalid point."""
+    xi = linear_predictor(ctx, coef)
+    return _nll_at(ctx, xi, ctx.link.phi(xi)[0])
+
+
+def penalized_nll(ctx: ObjectiveContext, coef: Coefficients) -> float:
+    return nll(ctx, coef) + ctx.lam * coef.penalty_norm2()
 
 
 def gradient(ctx: ObjectiveContext, coef: Coefficients) -> tuple[float, np.ndarray]:
     """(d beta0, d beta) of the penalized objective."""
     xi = linear_predictor(ctx, coef)
-    w = _weights(ctx, xi)
-    d_beta0 = float(np.sum(w))
-    if ctx.spec.n_channels == 0:
-        return d_beta0, np.zeros((0, ctx.spec.q))
-    pulled = ctx.spec.pull_back(spmv_t(ctx.design, w))
-    return d_beta0, pulled + 2.0 * ctx.lam * coef.beta
+    return _gradient_at(ctx, coef, xi, ctx.link.phi(xi)[1])
 
 
 def penalized_value_and_grad(ctx: ObjectiveContext, vec: np.ndarray) -> tuple[float, np.ndarray]:
-    """Flat-vector objective interface for the optimizer."""
+    """Flat-vector objective interface for the optimizer; xi is formed once."""
     coef = Coefficients.unpack(vec, ctx.spec.n_channels, ctx.spec.q)
-    value = penalized_nll(ctx, coef)
+    xi = linear_predictor(ctx, coef)
+    values, derivs = ctx.link.phi(xi)
+    value = _nll_at(ctx, xi, values) + ctx.lam * coef.penalty_norm2()
     if not np.isfinite(value):
         return np.inf, np.full_like(np.asarray(vec, dtype=np.float64), np.nan)
-    d0, dbeta = gradient(ctx, coef)
+    d0, dbeta = _gradient_at(ctx, coef, xi, derivs)
     return value, np.concatenate([[d0], dbeta.ravel()])
 
 
@@ -248,4 +222,4 @@ def reconstruct_filter(spec: FilterSpec, beta_block: np.ndarray) -> np.ndarray:
     beta_block = np.asarray(beta_block, dtype=np.float64)
     if beta_block.shape != (spec.q,):
         raise ValueError(f"expected block of length {spec.q}")
-    return spec.lag_curve_matrix() @ beta_block
+    return spec.curve_map @ beta_block

@@ -25,7 +25,6 @@ class OptimSettings:
     armijo_c1: float = 1e-4
     wolfe_c2: float = 0.9
     max_line_search: int = 50
-    init_rule: str = "baseline-rate"
 
     def __post_init__(self) -> None:
         if not 0 < self.armijo_c1 < self.wolfe_c2 < 1:

@@ -1,12 +1,13 @@
 """Compressed sparse row matrices sized for event-history design matrices.
 
 Only the operations the likelihood machinery needs are provided: triplet
-assembly, direct assembly of count matrices, matrix-vector products in both
-directions, memory accounting and a small binary dump format.  The heavy
-products are delegated to scipy's CSR kernels, which accumulate each row in
-column order, so results are bitwise reproducible run to run.  Indices are
-stored as int32; every constructor that casts to them raises OverflowError
-when a row count, column count or nnz does not fit, instead of wrapping.
+assembly, direct assembly of count matrices, products with block-diagonal
+maps, matrix-vector products in both directions, memory accounting and a
+small binary dump format.  The heavy products are delegated to scipy's CSR
+kernels, which accumulate each row in column order, so results are bitwise
+reproducible run to run.  Indices are stored as int32; every constructor
+that casts to them raises OverflowError when a row count, column count or
+nnz does not fit, instead of wrapping.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ class SparseCsr:
     def toarray(self) -> np.ndarray:
         return self._sp.toarray()
 
+    def _n_blocks(self, width: int) -> int:
+        """Number of consecutive column blocks of the given width."""
+        n_blocks, rem = divmod(self.ncols, width)
+        if rem:
+            raise ValueError(f"column count {self.ncols} is not a multiple of {width}")
+        return n_blocks
+
     def block_product(self, lo: int, hi: int, block_map: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write rows lo:hi times blockdiag(block_map, ..., block_map) into ``out``.
 
@@ -72,13 +80,31 @@ class SparseCsr:
         (hi - lo, k * q) ``out``.  No dense copy of the sparse rows is made.
         """
         width, q = block_map.shape
-        n_blocks, rem = divmod(self.ncols, width)
-        if rem:
-            raise ValueError(f"column count {self.ncols} is not a multiple of {width}")
+        n_blocks = self._n_blocks(width)
         rows = self._sp[lo:hi]
         for i in range(n_blocks):
             out[:, i * q : (i + 1) * q] = rows[:, i * width : (i + 1) * width] @ block_map
         return out
+
+    def block_diag_product(self, block_map: np.ndarray) -> "SparseCsr":
+        """The whole matrix times blockdiag(block_map, ..., block_map), kept sparse.
+
+        One scipy CSR product with the block-diagonal matrix of the nonzeros
+        of block_map.  scipy's product stores no entry whose sum is exactly
+        zero; its columns come out unsorted, so each row is sorted here.
+        """
+        n_blocks = self._n_blocks(block_map.shape[0])
+        right = sp.kron(sp.eye(n_blocks, format="csr"), sp.csr_matrix(block_map), format="csr")
+        prod = self._sp @ right
+        prod.sort_indices()
+        _check_index_width(prod.shape[0], prod.shape[1], prod.nnz)
+        return SparseCsr(
+            prod.shape[0],
+            prod.shape[1],
+            prod.indptr.astype(np.int32),
+            prod.indices.astype(np.int32),
+            prod.data,
+        )
 
 
 def from_triplets(

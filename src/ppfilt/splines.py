@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs as _trtrs
+from scipy.linalg import solve_triangular
 
 DEGREE = 3
 GAUSS_NODES = 32
@@ -122,8 +122,8 @@ def basis_eval_matrix(basis: SplineBasis, grid: np.ndarray, order: int = 0) -> n
 class BasisGramFactor:
     """Basis Gram G = V V^T with lower-triangular V; V-inverse is applied by solves.
 
-    The solves sit on the likelihood hot path, so they go straight to LAPACK
-    dtrtrs instead of through the validating scipy wrapper.
+    FilterSpec solves against the identity once to form V^-T, so the solves
+    are not on the likelihood path.
     """
 
     gram: np.ndarray
@@ -137,17 +137,7 @@ class BasisGramFactor:
 
     def expansion_coefs(self, beta: np.ndarray) -> np.ndarray:
         """Euclidean coefficients -> basis expansion coefficients (solve V^T x = beta)."""
-        x, info = _trtrs(self.factor, np.asarray(beta, dtype=np.float64), lower=1, trans=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("triangular solve failed")
-        return x
-
-    def pull_gradient(self, v: np.ndarray) -> np.ndarray:
-        """Adjoint of expansion_coefs (solve V x = v)."""
-        x, info = _trtrs(self.factor, np.asarray(v, dtype=np.float64), lower=1, trans=0)
-        if info != 0:
-            raise np.linalg.LinAlgError("triangular solve failed")
-        return x
+        return solve_triangular(self.factor, np.asarray(beta, dtype=np.float64), lower=True, trans="T")
 
 
 def basis_gram(basis: SplineBasis, inner_product: str = "second_derivative") -> BasisGramFactor:
@@ -190,8 +180,3 @@ def basis_gram(basis: SplineBasis, inner_product: str = "second_derivative") -> 
             jitter = jitter * 10.0 if jitter > 0 else 1e-12 * np.trace(gram) / basis.q
     raise np.linalg.LinAlgError("basis Gram factorization failed after jitter escalation")
 
-
-def greville_abscissae(basis: SplineBasis) -> np.ndarray:
-    """Knot averages; coefficients a + b * greville reproduce the line a + b x."""
-    t = basis.knots
-    return np.array([t[j + 1 : j + DEGREE + 1].mean() for j in range(basis.q)])

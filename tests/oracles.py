@@ -143,3 +143,46 @@ def triplet_lag_counts(trial, grid, delta, channels):
     rows = np.concatenate(rows_out) if rows_out else np.empty(0, dtype=np.int64)
     cols = np.concatenate(cols_out) if cols_out else np.empty(0, dtype=np.int64)
     return from_triplets(grid.n + 1, len(channels) * delta.n_bins, (rows, cols, np.ones(len(rows))))
+
+
+def loop_build_z(h, basis_eval, n_channels):
+    """Z from H by a loop over lag bins, assembled through from_triplets."""
+    from ppfilt.sparse import from_triplets
+
+    n_bins, q = basis_eval.shape
+    if h.ncols != n_channels * n_bins:
+        raise ValueError("H column count does not match channels x bins")
+    h_rows = np.repeat(np.arange(h.nrows), np.diff(h.row_ptr))
+    chan = h.col_idx // n_bins
+    bins = h.col_idx % n_bins
+    rows_out, cols_out, vals_out = [], [], []
+    # expand every H entry through the <= 4 nonzeros of its bin's basis row
+    nz_cols = [np.flatnonzero(basis_eval[k]) for k in range(n_bins)]
+    order = np.argsort(bins, kind="stable")
+    sorted_bins = bins[order]
+    group_starts = np.concatenate(
+        [[0], np.flatnonzero(np.diff(sorted_bins)) + 1, [len(sorted_bins)]]
+    )
+    for g in range(len(group_starts) - 1):
+        sel = order[group_starts[g] : group_starts[g + 1]]
+        if len(sel) == 0:
+            continue
+        k = int(bins[sel[0]])
+        js = nz_cols[k]
+        if len(js) == 0:
+            continue
+        bvals = basis_eval[k, js]
+        rows_out.append(np.repeat(h_rows[sel], len(js)))
+        cols_out.append(
+            (chan[sel][:, None] * q + js[None, :]).ravel()
+        )
+        vals_out.append((h.values[sel][:, None] * bvals[None, :]).ravel())
+    if rows_out:
+        rows = np.concatenate(rows_out)
+        cols = np.concatenate(cols_out)
+        vals = np.concatenate(vals_out)
+    else:
+        rows = np.empty(0, dtype=np.int64)
+        cols = np.empty(0, dtype=np.int64)
+        vals = np.empty(0)
+    return from_triplets(h.nrows, n_channels * q, (rows, cols, vals))

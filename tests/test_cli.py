@@ -130,6 +130,17 @@ class TestFit:
         assert payload["lambda"] == 0.125
         assert len(payload["coefficients"]["beta"]) == 3
 
+    def test_basis_mode_with_exact_lag_z(self, sim_file, tmp_path):
+        out = tmp_path / "zdirect"
+        code = run("fit", "--data", sim_file, "--target", "c0",
+                   "--support", 0.3, "--grid-n", 400, "--delta-n", 20,
+                   "--mode", "basis", "--basis-q", 6, "--z-direct",
+                   "--family", "log", "--lambda", 0.5, "--out", out)
+        assert code in (0, 2)
+        payload = json.loads((out / "fit.json").read_text())
+        jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
+        assert (payload["mode"], payload["q"]) == ("basis", 6)
+
     def test_basis_mode_requires_q(self, sim_file, tmp_path):
         code = run("fit", "--data", sim_file, "--target", "c0", "--mode", "basis",
                    "--out", tmp_path / "f")

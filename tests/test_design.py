@@ -14,9 +14,10 @@ from ppfilt.design import (
     multi_hit_count,
 )
 from ppfilt.events import Trial, make_time_grid
+from ppfilt.sparse import from_coordinate_counts
 from ppfilt.splines import basis_eval_matrix, make_basis
 
-from oracles import triplet_lag_counts
+from oracles import loop_build_z, triplet_lag_counts
 
 
 def brute_force_h(trial, grid, delta, channels):
@@ -44,6 +45,16 @@ def assert_same_csr(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def assert_same_z(got, want):
+    """Same sparsity pattern bitwise; values equal up to the order of summation."""
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    for name in ("row_ptr", "col_idx"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-15, atol=0.0)
 
 
 class TestDeltaGrid:
@@ -219,6 +230,31 @@ class TestBuildZ:
                     for j in range(q):
                         expected[l, i * q + j] += h_dense[l, i * n_bins + k] * b_eval[k, j]
         np.testing.assert_allclose(z, expected, rtol=1e-14, atol=1e-14)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 12),
+        st.integers(4, 9),
+        st.lists(st.tuples(st.integers(0, 15), st.integers(0, 35)), max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_pattern_as_bin_loop(self, p, n_bins, q, pairs):
+        # repeated (row, column) pairs give multi-hit counts above 1
+        rows = np.array([r for r, _ in pairs], dtype=np.int64)
+        cols = np.array([c % (p * n_bins) for _, c in pairs], dtype=np.int64)
+        h = from_coordinate_counts(16, p * n_bins, rows, cols)
+        b_eval = basis_eval_matrix(make_basis(0.5, q), make_delta_grid(0.5, n_bins).bin_lags)
+        assert_same_z(build_z(h, b_eval, p), loop_build_z(h, b_eval, p))
+
+    def test_same_pattern_as_bin_loop_on_hawkes_data(self):
+        data = hawkes_like_data(p=3, t_end=40.0, seed=5)
+        trial = data.trials[0]
+        grid = make_time_grid(trial, "c0", 16000)
+        delta = make_delta_grid(0.4, 400)
+        h = build_h(trial, grid, delta, data.channels)
+        assert multi_hit_count(h) > 0
+        b_eval = basis_eval_matrix(make_basis(0.4, 33), delta.bin_lags)
+        assert_same_z(build_z(h, b_eval, 3), loop_build_z(h, b_eval, 3))
 
     def test_width_mismatch(self):
         from ppfilt.sparse import from_triplets

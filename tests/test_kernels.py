@@ -5,7 +5,6 @@ import pytest
 
 from ppfilt.kernels import (
     Kernel,
-    cholesky_factorize,
     gram_matrix,
     kernel_eval,
     spectral_factorize,
@@ -122,32 +121,6 @@ class TestSpectralFactorize:
         eigvals, eigvecs = np.linalg.eigh(g)
         residual = np.linalg.norm(g @ eigvecs - eigvecs * eigvals)
         assert residual <= 1e-8 * np.linalg.norm(g)
-
-
-class TestCholeskyFactorize:
-    def test_identity(self):
-        factor = cholesky_factorize(np.eye(4))
-        np.testing.assert_allclose(factor.factor, np.eye(4))
-
-    def test_hand_cholesky(self):
-        factor = cholesky_factorize(np.array([[4.0, 2.0], [2.0, 5.0]]))
-        np.testing.assert_allclose(factor.factor, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
-
-    def test_random_spd_reconstruction(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(20, 20))
-        g = a @ a.T + 0.5 * np.eye(20)
-        factor = cholesky_factorize(g, jitter=0.0)
-        err = np.linalg.norm(factor.factor @ factor.factor.T - g)
-        assert err <= 1e-10 + factor.jitter * np.sqrt(20)
-
-    def test_jitter_escalation_on_singular(self):
-        g = np.zeros((3, 3))  # PSD but singular; needs jitter
-        factor = cholesky_factorize(g, jitter=1e-10)
-        assert factor.jitter >= 1e-10
-        np.testing.assert_allclose(
-            factor.factor @ factor.factor.T, factor.jitter * np.eye(3), rtol=1e-12
-        )
 
 
 class TestIsometry:

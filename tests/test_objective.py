@@ -5,7 +5,9 @@ import pytest
 
 from ppfilt.design import ModelMatrices, build_h, build_z, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
+from ppfilt import objective
 from ppfilt.links import identity_link, log_link, logaffine_link, root_link
+from ppfilt.model import FitConfig, build_context
 from ppfilt.objective import (
     Coefficients,
     ObjectiveContext,
@@ -13,10 +15,12 @@ from ppfilt.objective import (
     linear_predictor,
     nll,
     penalized_nll,
+    penalized_value_and_grad,
     reconstruct_filter,
 )
+from ppfilt.splines import basis_eval_matrix
 
-from conftest import build_t1_context
+from conftest import build_t1_context, make_event_data
 from oracles import (
     analytic_gradient_vector,
     brute_force_nll,
@@ -188,6 +192,54 @@ class TestGradient:
         coef = Coefficients(beta0=-1.0, beta=np.zeros((1, t1_direct_spec.q)))
         with pytest.raises(ValueError, match="\\+inf"):
             gradient(ctx, coef)
+
+
+class TestValueAndGrad:
+    @pytest.mark.parametrize("mode", ["direct", "basis"])
+    def test_one_pass_equals_separate_calls(self, mode, monkeypatch):
+        config = FitConfig(
+            target="a", inputs=["a", "b"], support=0.5, base_n=200, delta_n=20,
+            mode=mode, q=6 if mode == "basis" else None, family=logaffine_link(0.0), lam=0.3,
+        )
+        ctx = build_context(make_event_data(seed=4), config)
+        p, q = ctx.spec.n_channels, ctx.spec.q
+        vec = np.concatenate([[-0.2], 0.3 * np.random.default_rng(5).normal(size=p * q)])
+        coef = Coefficients.unpack(vec, p, q)
+        d0, dbeta = gradient(ctx, coef)
+        want_grad = np.concatenate([[d0], dbeta.ravel()])
+        want_value = penalized_nll(ctx, coef)
+
+        calls = {"spmv": 0, "spmv_t": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(objective, "spmv", counting("spmv", objective.spmv))
+        monkeypatch.setattr(objective, "spmv_t", counting("spmv_t", objective.spmv_t))
+        value, grad = penalized_value_and_grad(ctx, vec)
+        assert calls == {"spmv": 1, "spmv_t": 1}
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestFilterSpecMaps:
+    def test_direct_maps_are_the_factor(self, t1_direct_spec):
+        u = t1_direct_spec.factor.factor
+        assert t1_direct_spec.block_map is u and t1_direct_spec.curve_map is u
+        assert (t1_direct_spec.design_block_width, t1_direct_spec.q) == u.shape
+
+    def test_basis_maps(self, t1_basis_spec):
+        spec = t1_basis_spec
+        v = spec.basis_factor.factor
+        # block_map is V^-T; curve_map evaluates the expansion at the bin lags
+        np.testing.assert_allclose(v.T @ spec.block_map, np.eye(spec.q), atol=1e-12)
+        b_eval = basis_eval_matrix(spec.basis, spec.delta.bin_lags)
+        np.testing.assert_array_equal(spec.curve_map, b_eval @ spec.block_map)
+        assert (spec.design_block_width, spec.q) == (spec.basis.q, spec.basis.q)
 
 
 class TestReconstructFilter:

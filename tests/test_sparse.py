@@ -225,6 +225,36 @@ class TestBlockProduct:
             a.block_product(0, 2, np.eye(2), np.empty((2, 4)))
 
 
+class TestBlockDiagProduct:
+    def test_matches_dense_blockdiag(self):
+        rng = np.random.default_rng(12)
+        a = from_triplets(12, 3 * 4, random_triplets(rng, 12, 12, 30))
+        block_map = rng.normal(size=(4, 2))
+        block_map[1, 0] = 0.0
+        z = a.block_diag_product(block_map)
+        expected = a.toarray() @ block_diag(block_map, block_map, block_map)
+        assert (z.nrows, z.ncols) == (12, 6)
+        assert z.row_ptr.dtype == z.col_idx.dtype == np.int32
+        np.testing.assert_allclose(z.toarray(), expected, rtol=1e-14, atol=1e-15)
+
+    def test_columns_sorted_and_exact_zeros_dropped(self):
+        # row 0 cancels to an exact zero; row 1 fills both columns
+        a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 2.0), (1, 0, 1.0)])
+        z = a.block_diag_product(np.array([[1.0, 1.0], [-1.0, 3.0]]))
+        assert z.row_ptr.tolist() == [0, 1, 3]
+        assert z.col_idx.tolist() == [1, 0, 1]
+        assert z.values.tolist() == [4.0, -1.0, 7.0]
+
+    def test_no_blocks(self):
+        z = from_triplets(3, 0, []).block_diag_product(np.ones((4, 2)))
+        assert (z.nrows, z.ncols, z.nnz) == (3, 0, 0)
+
+    def test_width_must_divide_columns(self):
+        a = from_triplets(2, 5, [])
+        with pytest.raises(ValueError, match="multiple"):
+            a.block_diag_product(np.eye(2))
+
+
 class TestIndexWidth:
     """Sizes beyond int32 raise OverflowError; checked on a lowered limit, not real allocations."""
 
@@ -279,3 +309,10 @@ class TestIndexWidth:
         monkeypatch.setattr(sparse, "_INDEX_MAX", nnz - 1)
         with pytest.raises(OverflowError):
             build_h(trial, grid, delta, ["a"])
+
+    def test_block_diag_product(self, monkeypatch):
+        a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+        assert a.block_diag_product(np.ones((2, 2))).nnz == 4
+        monkeypatch.setattr(sparse, "_INDEX_MAX", 3)
+        with pytest.raises(OverflowError, match="nnz"):
+            a.block_diag_product(np.ones((2, 2)))
