@@ -30,7 +30,7 @@ from .objective import (
     penalized_nll,
     reconstruct_filter,
 )
-from .optimize import OptimResult, OptimSettings, bfgs_minimize, initial_point, minimize
+from .optimize import OptimResult, OptimSettings, initial_point, minimize, newton_minimize
 from .simulate import (
     ExpFilter,
     ExplosionError,

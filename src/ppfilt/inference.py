@@ -11,9 +11,9 @@ V^-T (basis), so that xi_l = x_l . (beta0, beta).  J_hat adds 2 lambda on
 the penalized coordinates (the baseline gets none), the covariance is the
 sandwich J^-1 K J^-1, and TIC = nll + tr(J^-1 K).
 
-The sum runs over row chunks of a fixed byte size: each chunk of x_l is a
-sparse-times-dense product of the stored design rows with the map, so the
-design is never densified, and working memory is one chunk plus K_hat.
+K_hat is the objective's weighted Gram of the working-design rows with the
+information weights, the same chunked sum that gives the optimizer its
+Hessian, so the design is never densified.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import Coefficients, FilterSpec, ObjectiveContext, linear_predictor, reconstruct_filter
+from .objective import Coefficients, FilterSpec, ObjectiveContext, _weighted_gram, linear_predictor
+from .objective import reconstruct_filter
 
 Z_95 = 1.96
-# bytes of one dense chunk of working-design rows in fisher_hat
-_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(eq=False)
@@ -70,18 +69,7 @@ def fisher_hat(ctx: ObjectiveContext, coef: Coefficients) -> np.ndarray:
         raise ZeroDivisionError(
             f"zero intensity with nonzero weight at grid row {int(np.flatnonzero(bad)[0])}"
         )
-    spec = ctx.spec
-    dim = 1 + spec.n_channels * spec.q
-    step = max(1, _CHUNK_BYTES // (8 * dim))
-    k_hat = np.zeros((dim, dim))
-    for lo in range(0, ctx.n_rows, step):
-        hi = min(lo + step, ctx.n_rows)
-        chunk = np.empty((hi - lo, dim))
-        chunk[:, 0] = 1.0
-        if spec.n_channels:
-            ctx.design.block_product(lo, hi, spec.block_map, chunk[:, 1:])
-        k_hat += chunk.T @ (chunk * weights[lo:hi, None])
-    return 0.5 * (k_hat + k_hat.T)
+    return _weighted_gram(ctx, weights)
 
 
 def penalty_pattern(dim: int) -> np.ndarray:

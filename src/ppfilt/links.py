@@ -128,6 +128,31 @@ class LinkFunction:
             return float(out)
         return out
 
+    def curvature(self, x):
+        """(phi''(x), -(log phi)''(x)), elementwise; both are >= 0 for every family.
+
+        These are the Hessian weights of the integral and jump terms of the
+        likelihood.  The second is +inf where phi(x) <= 0 (an invalid point).
+        """
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(over="ignore", divide="ignore"):
+            if self.family == "log":
+                phi2, neg_log2 = np.exp(x), np.zeros_like(x)
+            elif self.family in ("identity", "root"):  # identity has root(0)'s curvature
+                c = self.c or 0.0
+                pos = x > 0
+                xc = np.where(pos, x, 1.0)
+                # phi'' is exactly 0 at c = 0, where the general form gives 0 * inf near x = 0
+                phi2 = np.where(pos, (c + 1) * c * xc ** (c - 1.0), 0.0) if c else np.zeros_like(x)
+                neg_log2 = np.where(pos, (c + 1) / xc**2, np.inf)
+            else:
+                low = x <= self.c
+                phi2 = np.where(low, np.exp(np.where(low, x, self.c)), 0.0)
+                neg_log2 = np.where(low, 0.0, 1.0 / (np.maximum(x, self.c) - self.c + 1.0) ** 2)
+        if phi2.ndim == 0:
+            return float(phi2), float(neg_log2)
+        return phi2, neg_log2
+
     def inverse(self, rate: float) -> float:
         """x with phi(x) = rate, for rate > 0 (used for baseline initialization)."""
         if rate <= 0:

@@ -26,7 +26,7 @@ from .kernels import (
     threshold_for_rank,
 )
 from .links import LinkFunction, log_link
-from .objective import FilterSpec, ObjectiveContext, nll
+from .objective import Coefficients, FilterSpec, ObjectiveContext, nll
 from .optimize import OptimSettings, minimize
 from .splines import basis_eval_matrix, basis_gram, make_basis
 
@@ -128,12 +128,14 @@ def build_context(
     return ObjectiveContext(matrices, config.family, config.lam, spec)
 
 
-def fit(data: EventData, config: FitConfig) -> inference.FitResult:
-    """Build design matrices, minimize the penalized objective, attach inference."""
+def fit(
+    data: EventData, config: FitConfig, start: Coefficients | None = None
+) -> inference.FitResult:
+    """Build design matrices, minimize the penalized objective from start, attach inference."""
     inputs = config.resolve_inputs(data)
     spec = _spec_for(config, inputs)
     ctx = build_context(data, config, spec=spec)
-    result = minimize(ctx, config.optim)
+    result = minimize(ctx, config.optim, start)
     raw_nll = nll(ctx, result.coef)
     k_hat = inference.fisher_hat(ctx, result.coef)
     j_hat = inference.j_hat_matrix(k_hat, config.lam)
@@ -234,17 +236,21 @@ def model_scan(
 ) -> ScanResult:
     """TIC over the (c, lambda) grid for the logaffine family (c = inf means log).
 
-    The argmin runs over converged cells; TIC ties break toward larger lambda.
+    Along lambda, each cell starts from the previous cell's coefficients when
+    that cell converged.  The argmin runs over converged cells; TIC ties break
+    toward larger lambda.
     """
     if not c_grid or not lam_grid:
         raise ValueError("scan grids must be nonempty")
     cells = []
     for c in c_grid:
         family = log_link() if math.isinf(c) else LinkFunction("logaffine", c=float(c))
+        start = None
         for lam in lam_grid:
             cell_config = replace(config, family=family, lam=float(lam))
             try:
-                result = fit(data, cell_config)
+                result = fit(data, cell_config, start)
+                start = result.coef if result.converged else None
                 cells.append(
                     ScanCell(
                         c=float(c),
@@ -256,6 +262,7 @@ def model_scan(
                     )
                 )
             except (np.linalg.LinAlgError, ValueError, ZeroDivisionError) as exc:
+                start = None
                 cells.append(
                     ScanCell(
                         c=float(c), lam=float(lam), nll=math.inf, trace_term=math.inf,

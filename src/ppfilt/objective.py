@@ -1,4 +1,4 @@
-"""Discretized penalized negative log-likelihood and its exact gradient.
+"""Discretized penalized negative log-likelihood, its exact gradient and Hessian.
 
 With xi the linear predictor on the grid, the value is
 
@@ -16,6 +16,13 @@ from which the baseline gradient is sum_l w_l and the filter-block gradients
 are M^T (design^T w)_i + 2 lambda beta_i.  The baseline is never penalized.
 One value-and-gradient evaluation forms xi once: one product with the design
 and one with its transpose.
+
+The Hessian is sum_l h_l x_l x_l^T over the working-design rows x_l =
+[1, design row mapped through M], plus 2 lambda on the filter diagonal, with
+
+    h_l = phi''(xi_l) Delta_l  +  [l in jumps] (-log phi)''(xi_l)  >=  0,
+
+as phi is convex and log phi concave for every link family.
 """
 
 from __future__ import annotations
@@ -23,12 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .design import DeltaGrid, ModelMatrices
 from .kernels import GramFactor, Kernel
 from .links import LinkFunction
 from .sparse import SparseCsr, spmv, spmv_t, vstack
 from .splines import BasisGramFactor, SplineBasis, basis_eval_matrix
+
+# bytes of one dense chunk of working-design rows in _weighted_gram
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +226,48 @@ def penalized_value_and_grad(ctx: ObjectiveContext, vec: np.ndarray) -> tuple[fl
         return np.inf, np.full_like(np.asarray(vec, dtype=np.float64), np.nan)
     d0, dbeta = _gradient_at(ctx, coef, xi, derivs)
     return value, np.concatenate([[d0], dbeta.ravel()])
+
+
+def _weighted_gram(ctx: ObjectiveContext, weights: np.ndarray) -> np.ndarray:
+    """sum_l weights_l x_l x_l^T over the working-design rows x_l, for weights >= 0.
+
+    The rows are formed a chunk of fixed byte size at a time, as a sparse
+    product of the stored design rows with the map, so the design is never
+    densified.  One chunk buffer is reused: filled with x_l, scaled in place
+    by sqrt(weights_l) and added by a rank-k update of the upper triangle.
+    """
+    if np.any(weights < 0):
+        raise ValueError("Gram weights must be nonnegative")
+    spec = ctx.spec
+    dim = 1 + spec.n_channels * spec.q
+    step = min(ctx.n_rows, max(1, _CHUNK_BYTES // (8 * dim)))
+    buf = np.empty((step, dim))
+    roots = np.sqrt(weights)
+    gram = np.zeros((dim, dim), order="F")
+    for lo in range(0, ctx.n_rows, step):
+        hi = min(lo + step, ctx.n_rows)
+        chunk = buf[: hi - lo]
+        chunk[:, 0] = 1.0
+        if spec.n_channels:
+            ctx.design.block_product(lo, hi, spec.block_map, chunk[:, 1:])
+        chunk *= roots[lo:hi, None]
+        # chunk.T is Fortran-ordered (dim, rows), so BLAS reads the buffer without a copy
+        gram = dsyrk(1.0, chunk.T, beta=1.0, c=gram, overwrite_c=1)
+    gram = np.triu(gram)
+    return gram + np.triu(gram, 1).T
+
+
+def penalized_hessian(ctx: ObjectiveContext, vec: np.ndarray) -> np.ndarray:
+    """Exact Hessian of the penalized objective at the flat coefficient vector."""
+    coef = Coefficients.unpack(vec, ctx.spec.n_channels, ctx.spec.q)
+    xi = linear_predictor(ctx, coef)
+    weights = ctx.link.curvature(xi)[0] * ctx.delta_pad
+    np.add.at(weights, ctx.jump_idx, ctx.link.curvature(xi[ctx.jump_idx])[1])
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("Hessian evaluated at a point with +inf objective")
+    hess = _weighted_gram(ctx, weights)
+    hess[1:, 1:][np.diag_indices(len(hess) - 1)] += 2.0 * ctx.lam
+    return hess
 
 
 def reconstruct_filter(spec: FilterSpec, beta_block: np.ndarray) -> np.ndarray:

@@ -2,23 +2,21 @@
 
 Only the operations the likelihood machinery needs are provided: triplet
 assembly, direct assembly of count matrices, products with block-diagonal
-maps, matrix-vector products in both directions, memory accounting and a
-small binary dump format.  The heavy products are delegated to scipy's CSR
-kernels, which accumulate each row in column order, so results are bitwise
-reproducible run to run.  Indices are stored as int32; every constructor
-that casts to them raises OverflowError when a row count, column count or
-nnz does not fit, instead of wrapping.
+maps, matrix-vector products in both directions and memory accounting.
+The heavy products are delegated to scipy's CSR kernels, which accumulate
+each row in column order, so results are bitwise reproducible run to run.
+Indices are stored as int32; every constructor that casts to them raises
+OverflowError when a row count, column count or nnz does not fit, instead
+of wrapping.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-_MAGIC = b"PPH1"
 _INDEX_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -236,34 +234,3 @@ def memory_footprint(a: SparseCsr) -> tuple[int, int]:
     sparse_bytes = a.row_ptr.nbytes + a.col_idx.nbytes + a.values.nbytes
     dense_bytes = a.nrows * a.ncols * 8
     return sparse_bytes, dense_bytes
-
-
-def dump_bytes(a: SparseCsr) -> bytes:
-    """Serialize: magic, (nrows, ncols, nnz) as u64 LE, then row_ptr/col_idx as i64 LE and values as f64 LE."""
-    head = _MAGIC + struct.pack("<QQQ", a.nrows, a.ncols, a.nnz)
-    body = (
-        a.row_ptr.astype("<i8").tobytes()
-        + a.col_idx.astype("<i8").tobytes()
-        + a.values.astype("<f8").tobytes()
-    )
-    return head + body
-
-
-def load_bytes(buf: bytes) -> SparseCsr:
-    if buf[:4] != _MAGIC:
-        raise ValueError("bad magic bytes")
-    nrows, ncols, nnz = struct.unpack_from("<QQQ", buf, 4)
-    _check_index_width(nrows, ncols, nnz)
-    off = 4 + 24
-    row_ptr = np.frombuffer(buf, dtype="<i8", count=nrows + 1, offset=off)
-    off += (nrows + 1) * 8
-    col_idx = np.frombuffer(buf, dtype="<i8", count=nnz, offset=off)
-    off += nnz * 8
-    values = np.frombuffer(buf, dtype="<f8", count=nnz, offset=off)
-    return SparseCsr(
-        int(nrows),
-        int(ncols),
-        row_ptr.astype(np.int32),
-        col_idx.astype(np.int32),
-        values.astype(np.float64),
-    )

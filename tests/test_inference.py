@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ppfilt import inference
+from ppfilt import objective
 from ppfilt.design import ModelMatrices, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
 from ppfilt.inference import (
@@ -19,9 +19,16 @@ from ppfilt.inference import (
     tic_trace_term,
 )
 from ppfilt.kernels import Kernel, gram_matrix, spectral_factorize
-from ppfilt.links import identity_link, log_link
+from ppfilt.links import identity_link, log_link, parse_family
 from ppfilt.model import FitConfig, build_context
-from ppfilt.objective import Coefficients, FilterSpec, ObjectiveContext, gradient, linear_predictor
+from ppfilt.objective import (
+    Coefficients,
+    FilterSpec,
+    ObjectiveContext,
+    gradient,
+    linear_predictor,
+    penalized_hessian,
+)
 from ppfilt.sparse import from_triplets
 
 from conftest import build_t1_context, make_event_data
@@ -53,21 +60,21 @@ def dense_fisher_oracle(ctx, coef):
     return out
 
 
-def multi_channel_pieces(mode, lam=0.2, base_n=300, delta_n=12, q=None):
-    """Three channels, three trials (so three zero-weight first rows), moderate xi."""
+def multi_channel_pieces(mode, lam=0.2, base_n=300, delta_n=12, q=None, family=None, beta0=0.2):
+    """Three channels, three trials (so three zero-weight first rows), xi within 1 of beta0."""
     data = make_event_data(n_trials=3, t_end=10.0, channels=("a", "b", "c"), seed=7)
     config = FitConfig(
         target="a", support=0.5, base_n=base_n, delta_n=delta_n, mode=mode,
-        q=q or (5 if mode == "direct" else 6), family=log_link(), lam=lam,
+        q=q or (5 if mode == "direct" else 6), family=family or log_link(), lam=lam,
     )
     ctx = build_context(data, config)
     beta = np.random.default_rng(9).normal(size=(3, ctx.spec.q))
     spread = np.abs(linear_predictor(ctx, Coefficients(beta0=0.0, beta=beta))).max()
-    return ctx, Coefficients(beta0=0.2, beta=beta / spread)
+    return ctx, Coefficients(beta0=beta0, beta=beta / spread)
 
 
 def nll_hessian_by_differences(ctx, coef, step=1e-5):
-    """Central differences of the analytic gradient (the penalty is zero at lam = 0)."""
+    """Central differences of the analytic gradient of the penalized objective."""
     x = coef.pack()
     p, q = ctx.spec.n_channels, ctx.spec.q
     cols = []
@@ -132,7 +139,7 @@ class TestFisherHat:
     @pytest.mark.parametrize("mode", ["direct", "basis"])
     def test_multi_channel_multi_trial_matches_dense_oracle(self, mode, chunk_bytes, monkeypatch):
         if chunk_bytes is not None:  # a few rows per chunk: many chunk boundaries
-            monkeypatch.setattr(inference, "_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(objective, "_CHUNK_BYTES", chunk_bytes)
         ctx, coef = multi_channel_pieces(mode)
         spec = ctx.spec
         assert spec.n_channels == 3 and len(ctx.row_offsets) == 4
@@ -150,13 +157,27 @@ class TestFisherHat:
         k_hat = fisher_hat(ctx, coef)
         hessian = nll_hessian_by_differences(ctx, coef)
         np.testing.assert_allclose(k_hat, hessian, rtol=0, atol=1e-6 * np.abs(k_hat).max())
+        exact = penalized_hessian(ctx, coef.pack())
+        np.testing.assert_allclose(exact, k_hat, rtol=1e-12, atol=1e-12 * np.abs(k_hat).max())
+
+    @pytest.mark.parametrize("family", ["log", "logaffine:0", "logaffine:1", "identity"])
+    @pytest.mark.parametrize("mode", ["direct", "basis"])
+    def test_penalized_hessian_matches_gradient_differences(self, mode, family):
+        # identity needs xi > 0 on every row, so its baseline sits above the filter spread
+        ctx, coef = multi_channel_pieces(
+            mode, lam=0.3, family=parse_family(family), beta0=1.5 if family == "identity" else 0.2
+        )
+        exact = penalized_hessian(ctx, coef.pack())
+        np.testing.assert_allclose(exact, exact.T, rtol=0, atol=0)
+        hessian = nll_hessian_by_differences(ctx, coef)
+        np.testing.assert_allclose(exact, hessian, rtol=0, atol=1e-6 * np.abs(exact).max())
 
     def test_working_memory_is_one_chunk(self):
         # N = 400 lag bins against q = 6: a dense copy of design rows (width p * N)
         # costs far more than a chunk of working-design rows (width 1 + p * q)
         ctx, coef = multi_channel_pieces("direct", base_n=20000, delta_n=400, q=6)
         n, dim = ctx.n_rows, 1 + 3 * 6
-        rows = min(n, max(1, inference._CHUNK_BYTES // (8 * dim)))
+        rows = min(n, max(1, objective._CHUNK_BYTES // (8 * dim)))
         fisher_hat(ctx, coef)
         tracemalloc.start()
         try:

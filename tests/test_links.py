@@ -111,6 +111,44 @@ class TestSmoothness:
         assert not root_link(0.0).smooth
 
 
+CURVATURE_LINKS = ["log", "identity", "root:0.5", "root:2", "logaffine:0.5"]
+
+
+class TestCurvature:
+    @pytest.mark.parametrize(
+        "family, lo, hi",
+        [
+            ("log", -3.0, 3.0),
+            ("identity", 0.2, 3.0),
+            ("root:0.5", 0.2, 3.0),
+            ("root:2", 0.2, 3.0),
+            ("logaffine:0.5", -3.0, 0.45),  # below c
+            ("logaffine:0.5", 0.55, 3.0),  # above c
+        ],
+    )
+    def test_matches_finite_differences(self, family, lo, hi):
+        link = parse_family(family)
+        x = np.random.default_rng(2).uniform(lo, hi, size=100)
+        h = 1e-5
+        phi2, neg_log2 = link.curvature(x)
+        fd_phi2 = (link.phi(x + h)[1] - link.phi(x - h)[1]) / (2 * h)
+        fd_log2 = (link.log_phi(x + h) - 2 * link.log_phi(x) + link.log_phi(x - h)) / h**2
+        np.testing.assert_allclose(phi2, fd_phi2, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(neg_log2, -fd_log2, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("family", CURVATURE_LINKS)
+    def test_weights_nonnegative(self, family):
+        x = np.linspace(-20, 20, 2001)
+        phi2, neg_log2 = parse_family(family).curvature(x)
+        assert np.all(phi2 >= 0.0)
+        assert np.all(neg_log2 >= 0.0)
+
+    def test_invalid_points_are_infinite(self):
+        for link in [identity_link(), root_link(0.5), root_link(2.0)]:
+            assert link.curvature(0.0) == (0.0, np.inf)
+            assert link.curvature(-1.0) == (0.0, np.inf)
+
+
 class TestInverse:
     @given(st.floats(1e-5, 1e4))
     @settings(max_examples=50, deadline=None)

@@ -2,12 +2,13 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ppfilt.events import EventData
-from ppfilt.links import log_link
+from ppfilt.links import LinkFunction, log_link
 from ppfilt.model import FitConfig, build_context, build_spec, cross_validate, fit, model_scan
 from ppfilt.optimize import OptimSettings
 from ppfilt.simulate import ExpFilter, SimConfig, simulate_trials
@@ -230,6 +231,22 @@ class TestModelScan:
         result = model_scan(small_data, small_config, c_grid=[math.inf], lam_grid=[0.5])
         direct = fit(small_data, small_config)  # small_config uses the log family
         assert result.cells[0].tic == pytest.approx(direct.tic, rel=1e-9)
+
+    def test_warm_started_cells_equal_cold_fits(self, small_data, small_config):
+        c_grid, lam_grid = [0.0, 1.0, math.inf], [0.01, 0.1, 1.0]
+        result = model_scan(small_data, small_config, c_grid=c_grid, lam_grid=lam_grid)
+        cold = []
+        for cell in result.cells:
+            family = log_link() if math.isinf(cell.c) else LinkFunction("logaffine", c=cell.c)
+            cold.append(fit(small_data, replace(small_config, family=family, lam=cell.lam)))
+        for cell, ref in zip(result.cells, cold):
+            assert cell.nll == pytest.approx(ref.nll, rel=1e-9)
+            assert cell.converged == ref.converged
+        best_cell, _ = min(
+            (pair for pair in zip(result.cells, cold) if pair[1].converged),
+            key=lambda pair: (pair[1].tic, -pair[1].lam),
+        )
+        assert result.best is best_cell
 
     def test_empty_grid_rejected(self, small_data, small_config):
         with pytest.raises(ValueError):

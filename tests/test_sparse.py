@@ -1,6 +1,4 @@
-"""Sparse CSR construction, products against dense oracles, memory and dump."""
-
-import struct
+"""Sparse CSR construction, products against dense oracles and memory accounting."""
 
 import numpy as np
 import pytest
@@ -13,10 +11,8 @@ from ppfilt.design import build_h, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
 from ppfilt.sparse import (
     SparseCsr,
-    dump_bytes,
     from_coordinate_counts,
     from_triplets,
-    load_bytes,
     memory_footprint,
     spmv,
     spmv_t,
@@ -160,21 +156,6 @@ class TestMemoryAndDump:
         sparse_bytes, _ = memory_footprint(a)
         assert sparse_bytes == a.row_ptr.nbytes + a.col_idx.nbytes + a.values.nbytes
 
-    def test_dump_round_trip(self):
-        rng = np.random.default_rng(8)
-        a = from_triplets(9, 7, random_triplets(rng, 9, 7, 25))
-        b = load_bytes(dump_bytes(a))
-        assert (b.nrows, b.ncols) == (a.nrows, a.ncols)
-        np.testing.assert_array_equal(a.row_ptr, b.row_ptr)
-        np.testing.assert_array_equal(a.col_idx, b.col_idx)
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_dump_magic(self):
-        a = from_triplets(1, 1, [])
-        assert dump_bytes(a)[:4] == b"PPH1"
-        with pytest.raises(ValueError):
-            load_bytes(b"XXXX" + dump_bytes(a)[4:])
-
 
 class TestVstack:
     def test_stacks_row_groups(self):
@@ -257,14 +238,6 @@ class TestBlockDiagProduct:
 
 class TestIndexWidth:
     """Sizes beyond int32 raise OverflowError; checked on a lowered limit, not real allocations."""
-
-    @pytest.mark.parametrize("field", ["nrows", "ncols", "nnz"])
-    def test_load_bytes_rejects_crafted_header(self, field):
-        sizes = {"nrows": 1, "ncols": 1, "nnz": 0}
-        sizes[field] = 2**31
-        head = b"PPH1" + struct.pack("<QQQ", sizes["nrows"], sizes["ncols"], sizes["nnz"])
-        with pytest.raises(OverflowError, match=field):
-            load_bytes(head)
 
     def test_limit_is_int32(self):
         assert sparse._INDEX_MAX == 2**31 - 1
