@@ -198,29 +198,20 @@ _FIT_CONFIG_KEYS = {
 
 
 def _fit_config(args: argparse.Namespace) -> FitConfig:
+    """FitConfig from the given flags; every flag left unset keeps FitConfig's default."""
     _merge_config_file(args, _FIT_CONFIG_KEYS)
     if args.target is None:
         raise ValueError("--target is required (flag or config file)")
-    mode = args.mode or "direct"
-    if mode == "basis" and args.basis_q is None:
+    if args.mode == "basis" and args.basis_q is None:
         raise ValueError("basis mode requires --basis-q")
-    family = parse_family(args.family) if args.family else parse_family("log")
-    optim = OptimSettings() if args.max_iter is None else OptimSettings(max_iter=args.max_iter)
-    return FitConfig(
-        target=args.target,
-        inputs=args.inputs,
-        support=args.support if args.support is not None else 0.4,
-        base_n=args.grid_n if args.grid_n is not None else 2000,
-        delta_n=args.delta_n if args.delta_n is not None else 100,
-        mode=mode,
-        family=family,
-        lam=args.lam if args.lam is not None else 0.1,
-        q=args.basis_q,
-        threshold=args.threshold if args.threshold is not None else 1e-8,
-        use_direct_z=bool(getattr(args, "z_direct", False)),
-        eval_base_n=getattr(args, "eval_grid_n", None),
-        optim=optim,
+    given = dict(
+        inputs=args.inputs, support=args.support, base_n=args.grid_n, delta_n=args.delta_n,
+        mode=args.mode, lam=args.lam, q=args.basis_q, threshold=args.threshold,
+        family=parse_family(args.family) if args.family else None,
+        use_direct_z=args.z_direct or None, eval_base_n=getattr(args, "eval_grid_n", None),
+        optim=None if args.max_iter is None else OptimSettings(max_iter=args.max_iter),
     )
+    return FitConfig(target=args.target, **{k: v for k, v in given.items() if v is not None})
 
 
 def _fit_payload(result, config: FitConfig) -> dict:

@@ -151,7 +151,6 @@ class ObjectiveContext:
             deltas.append(np.concatenate([[0.0], m.grid.deltas]))
             jumps.append(m.grid.jump_indices + offsets[-1])
             offsets.append(offsets[-1] + mat.nrows)
-        self.matrices = matrices
         self.link = link
         self.lam = float(lam)
         self.spec = spec
@@ -231,15 +230,17 @@ def penalized_value_and_grad(ctx: ObjectiveContext, vec: np.ndarray) -> tuple[fl
 def _weighted_gram(ctx: ObjectiveContext, weights: np.ndarray) -> np.ndarray:
     """sum_l weights_l x_l x_l^T over the working-design rows x_l, for weights >= 0.
 
-    The rows are formed a chunk of fixed byte size at a time, as a sparse
-    product of the stored design rows with the map, so the design is never
+    The rows are formed a chunk of fixed byte size at a time: the chunk's
+    design rows, sliced from the scipy CSR matrix, times block_map, one
+    sparse-by-dense product per channel block, so the design is never
     densified.  One chunk buffer is reused: filled with x_l, scaled in place
     by sqrt(weights_l) and added by a rank-k update of the upper triangle.
     """
     if np.any(weights < 0):
         raise ValueError("Gram weights must be nonnegative")
     spec = ctx.spec
-    dim = 1 + spec.n_channels * spec.q
+    width, q = spec.block_map.shape
+    dim = 1 + spec.n_channels * q
     step = min(ctx.n_rows, max(1, _CHUNK_BYTES // (8 * dim)))
     buf = np.empty((step, dim))
     roots = np.sqrt(weights)
@@ -248,8 +249,10 @@ def _weighted_gram(ctx: ObjectiveContext, weights: np.ndarray) -> np.ndarray:
         hi = min(lo + step, ctx.n_rows)
         chunk = buf[: hi - lo]
         chunk[:, 0] = 1.0
-        if spec.n_channels:
-            ctx.design.block_product(lo, hi, spec.block_map, chunk[:, 1:])
+        rows = ctx.design.csr[lo:hi]
+        for i in range(spec.n_channels):
+            block = rows[:, i * width : (i + 1) * width]
+            chunk[:, 1 + i * q : 1 + (i + 1) * q] = block @ spec.block_map
         chunk *= roots[lo:hi, None]
         # chunk.T is Fortran-ordered (dim, rows), so BLAS reads the buffer without a copy
         gram = dsyrk(1.0, chunk.T, beta=1.0, c=gram, overwrite_c=1)

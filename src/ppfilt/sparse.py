@@ -1,18 +1,21 @@
-"""Compressed sparse row matrices sized for event-history design matrices.
+"""Compressed sparse row storage with int32 indices for event-history design matrices.
 
-Only the operations the likelihood machinery needs are provided: triplet
-assembly, direct assembly of count matrices, products with block-diagonal
-maps, matrix-vector products in both directions and memory accounting.
-The heavy products are delegated to scipy's CSR kernels, which accumulate
-each row in column order, so results are bitwise reproducible run to run.
-Indices are stored as int32; every constructor that casts to them raises
-OverflowError when a row count, column count or nnz does not fit, instead
-of wrapping.
+SparseCsr holds the three CSR arrays and the scipy matrix over them,
+``csr``; scipy does the assembly and the products.  Count matrices come
+from scipy's COO-to-CSR conversion, which sums repeated pairs, stacking from
+scipy.sparse.vstack, and callers multiply ``csr`` directly.  scipy's CSR
+kernels accumulate each row in column order, so results are bitwise
+reproducible run to run.  Every scipy result is stored through one guard: a
+row or column count that does not fit int32 raises OverflowError before
+scipy allocates, an nnz that does not fit raises after, instead of wrapping.
+from_triplets keeps its own sort and reduction, whose fixed summation order
+makes the result independent of the input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +39,7 @@ class SparseCsr:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    _sp: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.row_ptr.shape != (self.nrows + 1,):
@@ -54,55 +57,28 @@ class SparseCsr:
             shape=(self.nrows, self.ncols),
             copy=False,
         )
-        object.__setattr__(self, "_sp", mat)
+        object.__setattr__(self, "csr", mat)
 
     @property
     def nnz(self) -> int:
         return len(self.values)
 
     def toarray(self) -> np.ndarray:
-        return self._sp.toarray()
+        return self.csr.toarray()
 
-    def _n_blocks(self, width: int) -> int:
-        """Number of consecutive column blocks of the given width."""
-        n_blocks, rem = divmod(self.ncols, width)
-        if rem:
-            raise ValueError(f"column count {self.ncols} is not a multiple of {width}")
-        return n_blocks
 
-    def block_product(self, lo: int, hi: int, block_map: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write rows lo:hi times blockdiag(block_map, ..., block_map) into ``out``.
+def _scipy_result(nrows: int, ncols: int, build: Callable[[], sp.csr_matrix]) -> SparseCsr:
+    """Store the (nrows, ncols) CSR matrix that ``build`` makes with scipy.
 
-        The columns form k consecutive blocks of block_map's row count w; each
-        block is multiplied by the dense (w, q) block_map, giving the dense
-        (hi - lo, k * q) ``out``.  No dense copy of the sparse rows is made.
-        """
-        width, q = block_map.shape
-        n_blocks = self._n_blocks(width)
-        rows = self._sp[lo:hi]
-        for i in range(n_blocks):
-            out[:, i * q : (i + 1) * q] = rows[:, i * width : (i + 1) * width] @ block_map
-        return out
-
-    def block_diag_product(self, block_map: np.ndarray) -> "SparseCsr":
-        """The whole matrix times blockdiag(block_map, ..., block_map), kept sparse.
-
-        One scipy CSR product with the block-diagonal matrix of the nonzeros
-        of block_map.  scipy's product stores no entry whose sum is exactly
-        zero; its columns come out unsorted, so each row is sorted here.
-        """
-        n_blocks = self._n_blocks(block_map.shape[0])
-        right = sp.kron(sp.eye(n_blocks, format="csr"), sp.csr_matrix(block_map), format="csr")
-        prod = self._sp @ right
-        prod.sort_indices()
-        _check_index_width(prod.shape[0], prod.shape[1], prod.nnz)
-        return SparseCsr(
-            prod.shape[0],
-            prod.shape[1],
-            prod.indptr.astype(np.int32),
-            prod.indices.astype(np.int32),
-            prod.data,
-        )
+    The int32 guard runs on nrows and ncols before ``build`` allocates and
+    on nnz after.  Each row's columns are sorted.
+    """
+    _check_index_width(nrows, ncols, 0)
+    mat = build()
+    mat.sort_indices()
+    _check_index_width(nrows, ncols, mat.nnz)
+    row_ptr, col_idx = np.asarray(mat.indptr, np.int32), np.asarray(mat.indices, np.int32)
+    return SparseCsr(nrows, ncols, row_ptr, col_idx, mat.data)
 
 
 def from_triplets(
@@ -161,10 +137,9 @@ def from_triplets(
 def from_coordinate_counts(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> SparseCsr:
     """CSR whose entry (r, c) is the number of times the pair (r, c) occurs.
 
-    The pairs are sorted once on the linear key r * ncols + c, so the columns
-    of each row come out sorted and repeated pairs adjacent; each run of
-    equal keys becomes one stored count.  Counts are exact integers, so the
-    result does not depend on the input ordering.
+    One scipy COO-to-CSR conversion with a unit value per pair; repeated
+    pairs are summed into one stored count.  Counts are exact integers, so
+    the result does not depend on the input ordering.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -175,18 +150,10 @@ def from_coordinate_counts(nrows: int, ncols: int, rows: np.ndarray, cols: np.nd
             raise ValueError("row index out of range")
         if cols.min() < 0 or cols.max() >= ncols:
             raise ValueError("column index out of range")
-    _check_index_width(nrows, ncols, 0)  # also keeps the int64 keys below from overflowing
-    keys = rows * ncols + cols
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    keys = keys[starts]
-    _check_index_width(nrows, ncols, len(keys))
-    counts = np.diff(starts, append=len(first)).astype(np.float64)
-    row_ptr = np.searchsorted(keys, np.arange(nrows + 1, dtype=np.int64) * ncols)
-    return SparseCsr(
-        nrows, ncols, row_ptr.astype(np.int32), (keys % ncols).astype(np.int32), counts
+    return _scipy_result(
+        nrows,
+        ncols,
+        lambda: sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrows, ncols)).tocsr(),
     )
 
 
@@ -194,22 +161,10 @@ def vstack(blocks: list[SparseCsr]) -> SparseCsr:
     """Stack matrices with a common column count as consecutive row groups."""
     if not blocks:
         raise ValueError("nothing to stack")
-    ncols = blocks[0].ncols
-    if any(b.ncols != ncols for b in blocks):
-        raise ValueError("column counts differ")
-    nrows = sum(b.nrows for b in blocks)
-    _check_index_width(nrows, ncols, sum(b.nnz for b in blocks))
-    ptr = [np.zeros(1, dtype=np.int32)]
-    offset = 0
-    for b in blocks:
-        ptr.append(b.row_ptr[1:].astype(np.int64) + offset)
-        offset += b.nnz
-    return SparseCsr(
-        nrows,
-        ncols,
-        np.concatenate(ptr).astype(np.int32),
-        np.concatenate([b.col_idx for b in blocks]),
-        np.concatenate([b.values for b in blocks]),
+    return _scipy_result(
+        sum(b.nrows for b in blocks),
+        blocks[0].ncols,
+        lambda: sp.vstack([b.csr for b in blocks], format="csr"),
     )
 
 
@@ -218,7 +173,7 @@ def spmv(a: SparseCsr, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.ncols,):
         raise ValueError(f"expected vector of length {a.ncols}, got {x.shape}")
-    return a._sp @ x
+    return a.csr @ x
 
 
 def spmv_t(a: SparseCsr, y: np.ndarray) -> np.ndarray:
@@ -226,7 +181,7 @@ def spmv_t(a: SparseCsr, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (a.nrows,):
         raise ValueError(f"expected vector of length {a.nrows}, got {y.shape}")
-    return a._sp.T @ y
+    return a.csr.T @ y
 
 
 def memory_footprint(a: SparseCsr) -> tuple[int, int]:

@@ -186,3 +186,37 @@ def loop_build_z(h, basis_eval, n_channels):
         cols = np.empty(0, dtype=np.int64)
         vals = np.empty(0)
     return from_triplets(h.nrows, n_channels * q, (rows, cols, vals))
+
+
+def keysort_coordinate_counts(nrows, ncols, rows, cols):
+    """Pair counts by one sort of the keys r * ncols + c, written straight into CSR."""
+    from ppfilt.sparse import SparseCsr
+
+    keys = np.sort(np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys)).astype(np.float64)
+    keys = keys[starts]
+    row_ptr = np.searchsorted(keys, np.arange(nrows + 1, dtype=np.int64) * ncols)
+    return SparseCsr(
+        nrows, ncols, row_ptr.astype(np.int32), (keys % ncols).astype(np.int32), counts
+    )
+
+
+def concat_vstack(blocks):
+    """Row groups stacked by concatenating the CSR arrays and offsetting row_ptr."""
+    from ppfilt.sparse import SparseCsr
+
+    ptr = [np.zeros(1, dtype=np.int64)]
+    offset = 0
+    for b in blocks:
+        ptr.append(b.row_ptr[1:].astype(np.int64) + offset)
+        offset += b.nnz
+    return SparseCsr(
+        sum(b.nrows for b in blocks),
+        blocks[0].ncols,
+        np.concatenate(ptr).astype(np.int32),
+        np.concatenate([b.col_idx for b in blocks]),
+        np.concatenate([b.values for b in blocks]),
+    )

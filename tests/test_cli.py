@@ -7,7 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ppfilt.cli import main
+from ppfilt.cli import _fit_config, build_parser, main
+from ppfilt.links import parse_family
+from ppfilt.model import FitConfig
+from ppfilt.optimize import OptimSettings
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src/ppfilt/schemas/fit_result.schema.json"
 
@@ -173,6 +176,25 @@ class TestFit:
         payload = json.loads((out / "fit.json").read_text())
         assert payload["lambda"] == 0.75  # flag overrides config value
         assert payload["delta_n"] == 16
+
+    def test_no_optional_flags_keep_fit_config_defaults(self):
+        argv = ["fit", "--data", "d.json", "--target", "c0", "--out", "o"]
+        args = build_parser().parse_args(argv)
+        assert _fit_config(args) == FitConfig(target="c0")
+
+    def test_given_flags_reach_fit_config(self):
+        args = build_parser().parse_args([
+            "cv", "--data", "d.json", "--target", "c0", "--out", "o", "--inputs", "c0,c1",
+            "--support", "0.3", "--grid-n", "300", "--delta-n", "16", "--mode", "basis",
+            "--basis-q", "6", "--family", "logaffine:0.5", "--lambda", "0.25",
+            "--threshold", "1e-6", "--z-direct", "--max-iter", "7", "--eval-grid-n", "500",
+        ])
+        assert _fit_config(args) == FitConfig(
+            target="c0", inputs=["c0", "c1"], support=0.3, base_n=300, delta_n=16,
+            mode="basis", family=parse_family("logaffine:0.5"), lam=0.25, q=6,
+            threshold=1e-6, use_direct_z=True, eval_base_n=500,
+            optim=OptimSettings(max_iter=7),
+        )
 
 
 class TestCv:

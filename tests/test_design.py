@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from ppfilt.bench import hawkes_like_data
 from ppfilt.design import (
@@ -14,7 +15,7 @@ from ppfilt.design import (
     multi_hit_count,
 )
 from ppfilt.events import Trial, make_time_grid
-from ppfilt.sparse import from_coordinate_counts
+from ppfilt.sparse import from_coordinate_counts, from_triplets
 from ppfilt.splines import basis_eval_matrix, make_basis
 
 from oracles import loop_build_z, triplet_lag_counts
@@ -202,8 +203,6 @@ class TestBuildZ:
         delta = make_delta_grid(0.5, 5)
         basis = make_basis(0.5, 5)
         b_eval = basis_eval_matrix(basis, delta.bin_lags)
-        from ppfilt.sparse import from_triplets
-
         h = from_triplets(3, 5, [(1, 2, 1.0)])
         z = build_z(h, b_eval, 1).toarray()
         np.testing.assert_allclose(z[1], b_eval[2])
@@ -212,8 +211,6 @@ class TestBuildZ:
     def test_matches_dense_triple_loop(self):
         rng = np.random.default_rng(3)
         n_rows, n_bins, q, p = 8, 5, 4, 2
-        from ppfilt.sparse import from_triplets
-
         entries = [
             (int(rng.integers(0, n_rows)), int(rng.integers(0, p * n_bins)), 1.0)
             for _ in range(12)
@@ -256,9 +253,31 @@ class TestBuildZ:
         b_eval = basis_eval_matrix(make_basis(0.4, 33), delta.bin_lags)
         assert_same_z(build_z(h, b_eval, 3), loop_build_z(h, b_eval, 3))
 
-    def test_width_mismatch(self):
-        from ppfilt.sparse import from_triplets
+    def test_matches_dense_blockdiag(self):
+        rng = np.random.default_rng(12)
+        rows, cols = rng.integers(0, 12, 30), rng.integers(0, 12, 30)
+        h = from_triplets(12, 3 * 4, (rows, cols, rng.normal(size=30)))
+        block_map = rng.normal(size=(4, 2))
+        block_map[1, 0] = 0.0
+        z = build_z(h, block_map, 3)
+        expected = h.toarray() @ block_diag(block_map, block_map, block_map)
+        assert (z.nrows, z.ncols) == (12, 6)
+        assert z.row_ptr.dtype == z.col_idx.dtype == np.int32
+        np.testing.assert_allclose(z.toarray(), expected, rtol=1e-14, atol=1e-15)
 
+    def test_columns_sorted_and_exact_zeros_dropped(self):
+        # row 0 cancels to an exact zero; row 1 fills both columns
+        h = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 2.0), (1, 0, 1.0)])
+        z = build_z(h, np.array([[1.0, 1.0], [-1.0, 3.0]]), 1)
+        assert z.row_ptr.tolist() == [0, 1, 3]
+        assert z.col_idx.tolist() == [1, 0, 1]
+        assert z.values.tolist() == [4.0, -1.0, 7.0]
+
+    def test_no_channels(self):
+        z = build_z(from_triplets(3, 0, []), np.ones((4, 2)), 0)
+        assert (z.nrows, z.ncols, z.nnz) == (3, 0, 0)
+
+    def test_width_mismatch(self):
         h = from_triplets(2, 10, [])
         basis = make_basis(0.5, 4)
         b_eval = basis_eval_matrix(basis, make_delta_grid(0.5, 4).bin_lags)

@@ -9,7 +9,15 @@ import pytest
 
 from ppfilt.events import EventData
 from ppfilt.links import LinkFunction, log_link
-from ppfilt.model import FitConfig, build_context, build_spec, cross_validate, fit, model_scan
+from ppfilt.model import (
+    FitConfig,
+    build_context,
+    build_spec,
+    build_trial_matrices,
+    cross_validate,
+    fit,
+    model_scan,
+)
 from ppfilt.optimize import OptimSettings
 from ppfilt.simulate import ExpFilter, SimConfig, simulate_trials
 
@@ -69,11 +77,16 @@ class TestBuildContext:
     def test_coarse_lag_grid_warns_once_per_context(self, small_data, small_config, caplog):
         coarse = FitConfig(target="a", inputs=["a", "b"], support=0.3, base_n=400, delta_n=3)
         with caplog.at_level(logging.WARNING):
-            ctx = build_context(small_data, coarse)
+            build_context(small_data, coarse)
         warnings = [r for r in caplog.records if "lag grid too coarse" in r.getMessage()]
         assert len(warnings) == 1
-        multi = sum(int(np.count_nonzero(m.h.values > 1.0)) for m in ctx.matrices)
-        nnz = sum(m.h.nnz for m in ctx.matrices)
+        spec = build_spec(coarse)
+        matrices = [
+            build_trial_matrices(trial, coarse, spec, coarse.inputs, coarse.base_n)
+            for trial in small_data.trials
+        ]
+        multi = sum(int(np.count_nonzero(m.h.values > 1.0)) for m in matrices)
+        nnz = sum(m.h.nnz for m in matrices)
         assert small_data.n_trials > 1 and multi > 0
         assert f"{multi} of {nnz} lag counts" in warnings[0].getMessage()
 

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ppfilt.design import ModelMatrices, build_h, build_z, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
 from ppfilt import objective
+from ppfilt.kernels import Kernel, gram_matrix, spectral_factorize
 from ppfilt.links import identity_link, log_link, logaffine_link, root_link
 from ppfilt.model import FitConfig, build_context
 from ppfilt.objective import (
     Coefficients,
+    FilterSpec,
     ObjectiveContext,
     gradient,
     linear_predictor,
@@ -18,6 +21,7 @@ from ppfilt.objective import (
     penalized_value_and_grad,
     reconstruct_filter,
 )
+from ppfilt.sparse import from_triplets
 from ppfilt.splines import basis_eval_matrix
 
 from conftest import build_t1_context, make_event_data
@@ -224,6 +228,40 @@ class TestValueAndGrad:
         assert calls == {"spmv": 1, "spmv_t": 1}
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
+
+
+def three_channel_context(n_rows=12, n_bins=4, width=12):
+    """Direct-mode context, 3 channels of n_bins lag bins, over a random (n_rows, width) H."""
+    trial = Trial(t_end=1.0, events={"a": np.empty(0)})
+    grid = make_time_grid(trial, "a", base_n=n_rows - 1)
+    delta = make_delta_grid(0.5, n_bins)
+    kernel = Kernel(family="sobolev2", support=0.5)
+    factor = spectral_factorize(gram_matrix(kernel, delta.bin_lags))
+    spec = FilterSpec(mode="direct", n_channels=3, delta=delta, kernel=kernel, factor=factor)
+    rng = np.random.default_rng(11)
+    rows, cols = rng.integers(0, n_rows, 30), rng.integers(0, width, 30)
+    h = from_triplets(n_rows, width, (rows, cols, rng.normal(size=30)))
+    matrices = ModelMatrices(grid=grid, delta=delta, n_channels=3, h=h)
+    return ObjectiveContext([matrices], log_link(), 0.0, spec)
+
+
+class TestWeightedGram:
+    @pytest.mark.parametrize("lo, hi", [(0, 12), (3, 7), (5, 5)])
+    def test_matches_dense_blockdiag(self, lo, hi, monkeypatch):
+        # the weights select rows lo:hi; 5-row chunks make them cross chunk edges
+        ctx = three_channel_context()
+        u = ctx.spec.block_map
+        monkeypatch.setattr(objective, "_CHUNK_BYTES", 8 * (1 + 3 * ctx.spec.q) * 5)
+        weights = np.zeros(ctx.n_rows)
+        weights[lo:hi] = np.random.default_rng(2).uniform(0.5, 2.0, size=hi - lo)
+        x = np.hstack([np.ones((ctx.n_rows, 1)), ctx.design.toarray() @ block_diag(u, u, u)])
+        expected = x[lo:hi].T @ (weights[lo:hi, None] * x[lo:hi])
+        got = objective._weighted_gram(ctx, weights)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
+
+    def test_context_rejects_design_width(self):
+        with pytest.raises(ValueError, match="design width"):
+            three_channel_context(width=11)
 
 
 class TestFilterSpecMaps:

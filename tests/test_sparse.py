@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
 
 from ppfilt import sparse
-from ppfilt.design import build_h, make_delta_grid
+from ppfilt.design import build_h, build_z, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
 from ppfilt.sparse import (
     SparseCsr,
@@ -18,6 +17,8 @@ from ppfilt.sparse import (
     spmv_t,
     vstack,
 )
+
+from oracles import concat_vstack, keysort_coordinate_counts
 
 
 def dense_from_triplets(nrows, ncols, entries):
@@ -32,6 +33,32 @@ def random_triplets(rng, nrows, ncols, k):
     cols = rng.integers(0, ncols, size=k)
     vals = rng.normal(size=k)
     return list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+
+
+def assert_same_csr(got, want):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    for name in ("row_ptr", "col_idx", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.row_ptr.dtype == got.col_idx.dtype == np.int32
+
+
+@st.composite
+def csr_blocks(draw):
+    """1-4 random CSR matrices of one width; zero-row and empty blocks included."""
+    ncols = draw(st.integers(1, 5))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        nrows = draw(st.integers(0, 5))
+        cell = st.tuples(
+            st.integers(0, max(nrows - 1, 0)),
+            st.integers(0, ncols - 1),
+            st.floats(-4.0, 4.0, allow_nan=False),
+        )
+        entries = draw(st.lists(cell, max_size=12)) if nrows else []
+        blocks.append(from_triplets(nrows, ncols, entries))
+    return blocks
 
 
 class TestFromTriplets:
@@ -169,8 +196,43 @@ class TestVstack:
         with pytest.raises(ValueError):
             vstack([from_triplets(1, 2, []), from_triplets(1, 3, [])])
 
+    @given(csr_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_concatenation(self, blocks):
+        assert_same_csr(vstack(blocks), concat_vstack(blocks))
+
+    def test_zero_row_blocks(self):
+        empty = from_triplets(0, 3, [])
+        row = from_triplets(1, 3, [(0, 2, 1.5)])
+        assert_same_csr(vstack([empty, row, empty]), concat_vstack([empty, row, empty]))
+        assert vstack([empty, empty]).nrows == 0
+
 
 class TestFromCoordinateCounts:
+    @given(
+        st.integers(0, 7),
+        st.integers(1, 5),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_key_sort(self, nrows, ncols, pairs):
+        # small ranges make repeated pairs common; nrows = 0 leaves only empty input
+        kept = [(r, c % ncols) for r, c in pairs if r < nrows]
+        rows = np.array([r for r, _ in kept], dtype=np.int64)
+        cols = np.array([c for _, c in kept], dtype=np.int64)
+        got = from_coordinate_counts(nrows, ncols, rows, cols)
+        assert_same_csr(got, keysort_coordinate_counts(nrows, ncols, rows, cols))
+
+    def test_empty_and_repeated(self):
+        none = np.empty(0, dtype=np.int64)
+        got = from_coordinate_counts(3, 2, none, none)
+        assert got.nnz == 0
+        assert_same_csr(got, keysort_coordinate_counts(3, 2, none, none))
+        rows, cols = np.array([1, 1, 1, 0]), np.array([1, 1, 1, 0])
+        got = from_coordinate_counts(2, 2, rows, cols)
+        assert got.values.tolist() == [1.0, 3.0]
+        assert_same_csr(got, keysort_coordinate_counts(2, 2, rows, cols))
+
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_equals_triplets_of_ones(self, pairs):
@@ -187,53 +249,6 @@ class TestFromCoordinateCounts:
             from_coordinate_counts(2, 2, np.array([2]), np.array([0]))
         with pytest.raises(ValueError, match="column"):
             from_coordinate_counts(2, 2, np.array([0]), np.array([2]))
-
-
-class TestBlockProduct:
-    @pytest.mark.parametrize("lo, hi", [(0, 12), (3, 7), (5, 5)])
-    def test_matches_dense_blockdiag(self, lo, hi):
-        rng = np.random.default_rng(11)
-        a = from_triplets(12, 3 * 4, random_triplets(rng, 12, 12, 30))
-        block_map = rng.normal(size=(4, 2))
-        expected = a.toarray()[lo:hi] @ block_diag(block_map, block_map, block_map)
-        out = np.full((hi - lo, 6), np.nan)
-        assert a.block_product(lo, hi, block_map, out) is out
-        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
-
-    def test_width_must_divide_columns(self):
-        a = from_triplets(2, 5, [])
-        with pytest.raises(ValueError, match="multiple"):
-            a.block_product(0, 2, np.eye(2), np.empty((2, 4)))
-
-
-class TestBlockDiagProduct:
-    def test_matches_dense_blockdiag(self):
-        rng = np.random.default_rng(12)
-        a = from_triplets(12, 3 * 4, random_triplets(rng, 12, 12, 30))
-        block_map = rng.normal(size=(4, 2))
-        block_map[1, 0] = 0.0
-        z = a.block_diag_product(block_map)
-        expected = a.toarray() @ block_diag(block_map, block_map, block_map)
-        assert (z.nrows, z.ncols) == (12, 6)
-        assert z.row_ptr.dtype == z.col_idx.dtype == np.int32
-        np.testing.assert_allclose(z.toarray(), expected, rtol=1e-14, atol=1e-15)
-
-    def test_columns_sorted_and_exact_zeros_dropped(self):
-        # row 0 cancels to an exact zero; row 1 fills both columns
-        a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 2.0), (1, 0, 1.0)])
-        z = a.block_diag_product(np.array([[1.0, 1.0], [-1.0, 3.0]]))
-        assert z.row_ptr.tolist() == [0, 1, 3]
-        assert z.col_idx.tolist() == [1, 0, 1]
-        assert z.values.tolist() == [4.0, -1.0, 7.0]
-
-    def test_no_blocks(self):
-        z = from_triplets(3, 0, []).block_diag_product(np.ones((4, 2)))
-        assert (z.nrows, z.ncols, z.nnz) == (3, 0, 0)
-
-    def test_width_must_divide_columns(self):
-        a = from_triplets(2, 5, [])
-        with pytest.raises(ValueError, match="multiple"):
-            a.block_diag_product(np.eye(2))
 
 
 class TestIndexWidth:
@@ -283,9 +298,14 @@ class TestIndexWidth:
         with pytest.raises(OverflowError):
             build_h(trial, grid, delta, ["a"])
 
-    def test_block_diag_product(self, monkeypatch):
-        a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
-        assert a.block_diag_product(np.ones((2, 2))).nnz == 4
+    def test_build_z(self, monkeypatch):
+        h = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+        assert build_z(h, np.ones((2, 2)), 1).nnz == 4
         monkeypatch.setattr(sparse, "_INDEX_MAX", 3)
         with pytest.raises(OverflowError, match="nnz"):
-            a.block_diag_product(np.ones((2, 2)))
+            build_z(h, np.ones((2, 2)), 1)
+        with pytest.raises(OverflowError, match="ncols"):
+            build_z(h, np.ones((2, 4)), 1)
+        monkeypatch.setattr(sparse, "_INDEX_MAX", 1)
+        with pytest.raises(OverflowError, match="nrows"):
+            build_z(h, np.ones((2, 2)), 1)
