@@ -227,6 +227,7 @@ def _fit_payload(result, config: FitConfig) -> dict:
         "delta_n": result.extras["delta_n"],
         "q": result.extras["q"],
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "grad_norm": result.grad_norm,
         "nll": result.nll,

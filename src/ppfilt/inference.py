@@ -13,7 +13,8 @@ sandwich J^-1 K J^-1, and TIC = nll + tr(J^-1 K).
 
 K_hat is the objective's weighted Gram of the working-design rows with the
 information weights, the same chunked sum that gives the optimizer its
-Hessian, so the design is never densified.
+Hessian: one sparse product per chunk written into a reused buffer, so the
+design is never sliced or densified.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class FitResult:
     link: str
     mode: str
     converged: bool
+    stop_reason: str  # one of optimize.STOP_REASONS
     iterations: int
     grad_norm: float
     extras: dict = field(default_factory=dict)

@@ -132,15 +132,24 @@ def fit(
     data: EventData, config: FitConfig, start: Coefficients | None = None
 ) -> inference.FitResult:
     """Build design matrices, minimize the penalized objective from start, attach inference."""
-    inputs = config.resolve_inputs(data)
-    spec = _spec_for(config, inputs)
-    ctx = build_context(data, config, spec=spec)
+    config = replace(config, inputs=config.resolve_inputs(data))
+    return fit_context(build_context(data, config), config, start)
+
+
+def fit_context(
+    ctx: ObjectiveContext, config: FitConfig, start: Coefficients | None = None
+) -> inference.FitResult:
+    """Minimize ctx's penalized objective from start and attach inference.
+
+    The link, lambda and spec are ctx's; config gives the optimizer settings
+    and the descriptive extras, with its inputs resolved.
+    """
     result = minimize(ctx, config.optim, start)
     raw_nll = nll(ctx, result.coef)
     k_hat = inference.fisher_hat(ctx, result.coef)
-    j_hat = inference.j_hat_matrix(k_hat, config.lam)
-    sandwich = inference.sandwich_cov(k_hat, config.lam)
-    tic_value = inference.tic(raw_nll, k_hat, config.lam)
+    j_hat = inference.j_hat_matrix(k_hat, ctx.lam)
+    sandwich = inference.sandwich_cov(k_hat, ctx.lam)
+    tic_value = inference.tic(raw_nll, k_hat, ctx.lam)
     return inference.FitResult(
         coef=result.coef,
         nll=raw_nll,
@@ -149,20 +158,21 @@ def fit(
         j_hat=j_hat,
         sandwich=sandwich,
         tic=tic_value,
-        lam=config.lam,
-        link=config.family.describe(),
-        mode=config.mode,
+        lam=ctx.lam,
+        link=ctx.link.describe(),
+        mode=ctx.spec.mode,
         converged=result.converged,
+        stop_reason=result.stop_reason,
         iterations=result.iterations,
         grad_norm=result.grad_norm,
         extras={
             "target": config.target,
-            "inputs": inputs,
+            "inputs": config.inputs,
             "support": config.support,
             "base_n": config.base_n,
             "delta_n": config.delta_n,
-            "q": spec.q,
-            "spec": spec,
+            "q": ctx.spec.q,
+            "spec": ctx.spec,
         },
     )
 
@@ -236,20 +246,22 @@ def model_scan(
 ) -> ScanResult:
     """TIC over the (c, lambda) grid for the logaffine family (c = inf means log).
 
-    Along lambda, each cell starts from the previous cell's coefficients when
-    that cell converged.  The argmin runs over converged cells; TIC ties break
-    toward larger lambda.
+    The design depends on neither, so it is built once and each cell fits
+    it under its own link and lambda.  Along lambda, each cell starts from
+    the previous cell's coefficients when that cell converged.  The argmin
+    runs over converged cells; TIC ties break toward larger lambda.
     """
     if not c_grid or not lam_grid:
         raise ValueError("scan grids must be nonempty")
+    config = replace(config, inputs=config.resolve_inputs(data))
+    design = build_context(data, config)
     cells = []
     for c in c_grid:
         family = log_link() if math.isinf(c) else LinkFunction("logaffine", c=float(c))
         start = None
         for lam in lam_grid:
-            cell_config = replace(config, family=family, lam=float(lam))
             try:
-                result = fit(data, cell_config, start)
+                result = fit_context(design.with_link(family, lam), config, start)
                 start = result.coef if result.converged else None
                 cells.append(
                     ScanCell(

@@ -22,15 +22,22 @@ The Hessian is sum_l h_l x_l x_l^T over the working-design rows x_l =
 
     h_l = phi''(xi_l) Delta_l  +  [l in jumps] (-log phi)''(xi_l)  >=  0,
 
-as phi is convex and log phi concave for every link family.
+as phi is convex and log phi concave for every link family.  The Hessian and
+the information estimate K_hat (inference.fisher_hat) are one weighted Gram
+of those rows, _weighted_gram: a chunk of rows at a time, each chunk one
+in-place sparse-by-dense product over the design's own CSR arrays, so the
+design is never copied or densified.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
+# scipy's private kernel behind csr @ dense: Y += A X into a caller's Y (pinned by tests)
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .design import DeltaGrid, ModelMatrices
 from .kernels import GramFactor, Kernel
@@ -123,7 +130,8 @@ class ObjectiveContext:
     group boundaries, jump indices are global row indices, and the Riemann
     weights carry a zero at each trial's first row so t_0 never contributes.
     Instances are immutable in practice and safe to share between concurrent
-    evaluations.
+    evaluations; with_link gives the same design under another link and
+    penalty without copying it.
     """
 
     def __init__(
@@ -159,6 +167,15 @@ class ObjectiveContext:
         self.jump_idx = np.concatenate(jumps).astype(np.int64)
         self.row_offsets = np.asarray(offsets)
         self.total_time = float(sum(m.grid.t_end for m in matrices))
+        self._gram_cache: dict = {}  # shared by with_link copies; see _gram_operands
+
+    def with_link(self, link: LinkFunction, lam: float) -> "ObjectiveContext":
+        """This context's design, spec and grid weights under another link and penalty."""
+        if lam < 0:
+            raise ValueError("penalty must be nonnegative")
+        other = copy.copy(self)
+        other.link, other.lam = link, float(lam)
+        return other
 
     @property
     def n_rows(self) -> int:
@@ -227,37 +244,76 @@ def penalized_value_and_grad(ctx: ObjectiveContext, vec: np.ndarray) -> tuple[fl
     return value, np.concatenate([[d0], dbeta.ravel()])
 
 
+def _gram_operands(ctx: ObjectiveContext) -> tuple[np.ndarray, np.ndarray]:
+    """(segments, stacked map) of _weighted_gram, built at its first call and kept.
+
+    ``segments`` has n p + 1 entries: entry r p + i is the offset in the
+    design's CSR arrays where channel i's columns begin in row r, and the
+    last is nnz.  So segments[lo p : hi p + 1] over the design's own col_idx
+    and values is rows lo:hi as a (rows p, p width) CSR matrix, one row per
+    (row, channel) pair, and its product with the stacked map [M; ...; M]
+    (p width, q) is those rows' (rows, p q) working block in C order.
+    This needs each row's columns grouped by channel, as SparseCsr's sorted
+    rows are; a design that breaks it is rejected.
+    """
+    cache = ctx._gram_cache
+    if not cache:
+        design, p = ctx.design, ctx.spec.n_channels
+        n, width = design.nrows, ctx.spec.design_block_width
+        key = np.repeat(np.arange(0, n * p, p, dtype=np.int64), np.diff(design.row_ptr))
+        key += design.col_idx // width
+        if np.any(key[1:] < key[:-1]):
+            raise ValueError("design rows must list their columns in channel order")
+        segments = np.zeros(n * p + 1, dtype=design.col_idx.dtype)
+        np.cumsum(np.bincount(key, minlength=n * p), out=segments[1:])
+        cache["segments"] = segments
+        cache["stacked"] = np.tile(ctx.spec.block_map, (p, 1))
+    return cache["segments"], cache["stacked"]
+
+
 def _weighted_gram(ctx: ObjectiveContext, weights: np.ndarray) -> np.ndarray:
     """sum_l weights_l x_l x_l^T over the working-design rows x_l, for weights >= 0.
 
-    The rows are formed a chunk of fixed byte size at a time: the chunk's
-    design rows, sliced from the scipy CSR matrix, times block_map, one
-    sparse-by-dense product per channel block, so the design is never
-    densified.  One chunk buffer is reused: filled with x_l, scaled in place
-    by sqrt(weights_l) and added by a rank-k update of the upper triangle.
+    The filter part of the rows is formed a chunk of fixed byte size at a
+    time, by one sparse-by-dense product per chunk (see _gram_operands)
+    accumulated by scipy's CSR kernel straight into one reused buffer, so
+    the design is never densified or sliced.  The buffer is scaled in place
+    by sqrt(weights_l) and added by a rank-k update of the upper triangle;
+    the baseline entry is sum(weights) and the baseline row sums the scaled
+    chunks against sqrt(weights).
     """
     if np.any(weights < 0):
         raise ValueError("Gram weights must be nonnegative")
     spec = ctx.spec
-    width, q = spec.block_map.shape
-    dim = 1 + spec.n_channels * q
-    step = min(ctx.n_rows, max(1, _CHUNK_BYTES // (8 * dim)))
-    buf = np.empty((step, dim))
+    p, q = spec.n_channels, spec.q
+    cols = p * q
+    gram = np.empty((1 + cols, 1 + cols))
+    gram[0, 0] = np.sum(weights)
+    if cols == 0:
+        return gram
+    segments, stacked = _gram_operands(ctx)
+    design = ctx.design
+    step = min(ctx.n_rows, max(1, _CHUNK_BYTES // (8 * (1 + cols))))
+    buf = np.empty((step, cols))
     roots = np.sqrt(weights)
-    gram = np.zeros((dim, dim), order="F")
+    cross = np.zeros(cols)
+    inner = np.zeros((cols, cols), order="F")
     for lo in range(0, ctx.n_rows, step):
         hi = min(lo + step, ctx.n_rows)
         chunk = buf[: hi - lo]
-        chunk[:, 0] = 1.0
-        rows = ctx.design.csr[lo:hi]
-        for i in range(spec.n_channels):
-            block = rows[:, i * width : (i + 1) * width]
-            chunk[:, 1 + i * q : 1 + (i + 1) * q] = block @ spec.block_map
+        chunk.fill(0.0)
+        csr_matvecs(
+            (hi - lo) * p, stacked.shape[0], q, segments[lo * p : hi * p + 1],
+            design.col_idx, design.values, stacked, chunk,
+        )
         chunk *= roots[lo:hi, None]
-        # chunk.T is Fortran-ordered (dim, rows), so BLAS reads the buffer without a copy
-        gram = dsyrk(1.0, chunk.T, beta=1.0, c=gram, overwrite_c=1)
-    gram = np.triu(gram)
-    return gram + np.triu(gram, 1).T
+        cross += chunk.T @ roots[lo:hi]
+        # chunk.T is Fortran-ordered (cols, rows), so BLAS reads the buffer without a copy
+        inner = dsyrk(1.0, chunk.T, beta=1.0, c=inner, overwrite_c=1)
+    inner = np.triu(inner)
+    gram[1:, 1:] = inner + np.triu(inner, 1).T
+    gram[0, 1:] = gram[1:, 0] = cross
+    return gram
 
 
 def penalized_hessian(ctx: ObjectiveContext, vec: np.ndarray) -> np.ndarray:

@@ -27,6 +27,9 @@ _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 30
 _MIN_SHIFT = 1e-3
 
+# why newton_minimize stopped; only the first means converged
+STOP_REASONS = ("gradient_tolerance", "no_acceptable_step", "max_iter")
+
 
 @dataclass(frozen=True)
 class OptimSettings:
@@ -41,6 +44,7 @@ class OptimResult:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
     trace: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -76,10 +80,12 @@ def _backtrack(fun: ValueGrad, x, f, g, gnorm, p):
 def newton_minimize(
     fun: ValueGrad, hess: Hessian, x0: np.ndarray, settings: OptimSettings = OptimSettings()
 ):
-    """Minimize fun, returning (x, f, g, iterations, converged, trace).
+    """Minimize fun, returning (x, f, g, iterations, stop_reason, trace).
 
-    Stops when the gradient sup-norm is at most grad_tol (converged), when no
-    step along the Newton direction is accepted, or after max_iter steps.
+    Stops when the gradient sup-norm is at most grad_tol
+    ("gradient_tolerance", the only converged stop), when no step along the
+    Newton direction is accepted ("no_acceptable_step"), or after max_iter
+    steps ("max_iter").
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
@@ -88,15 +94,17 @@ def newton_minimize(
     gnorm = float(np.abs(g).max())
     trace = [(f, gnorm)]
     iterations = 0
-    while gnorm > settings.grad_tol and iterations < settings.max_iter:
+    while gnorm > settings.grad_tol:
+        if iterations == settings.max_iter:
+            return x, f, g, iterations, "max_iter", trace
         step = _backtrack(fun, x, f, g, gnorm, _newton_direction(hess(x), g))
         if step is None:
-            break
+            return x, f, g, iterations, "no_acceptable_step", trace
         x, f, g = step
         gnorm = float(np.abs(g).max())
         iterations += 1
         trace.append((f, gnorm))
-    return x, f, g, iterations, gnorm <= settings.grad_tol, trace
+    return x, f, g, iterations, "gradient_tolerance", trace
 
 
 def initial_point(ctx: ObjectiveContext) -> Coefficients:
@@ -112,7 +120,7 @@ def minimize(
 ) -> OptimResult:
     """Damped Newton fit of (beta0, beta), started at start or else at initial_point(ctx)."""
     x0 = (start if start is not None else initial_point(ctx)).pack()
-    x, f, g, iterations, converged, trace = newton_minimize(
+    x, f, g, iterations, stop_reason, trace = newton_minimize(
         lambda vec: penalized_value_and_grad(ctx, vec),
         lambda vec: penalized_hessian(ctx, vec),
         x0,
@@ -124,6 +132,7 @@ def minimize(
         nll_value=f,
         grad_norm=float(np.abs(g).max()),
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "gradient_tolerance",
+        stop_reason=stop_reason,
         trace=trace,
     )

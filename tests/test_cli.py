@@ -10,7 +10,7 @@ import pytest
 from ppfilt.cli import _fit_config, build_parser, main
 from ppfilt.links import parse_family
 from ppfilt.model import FitConfig
-from ppfilt.optimize import OptimSettings
+from ppfilt.optimize import STOP_REASONS, OptimSettings
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src/ppfilt/schemas/fit_result.schema.json"
 
@@ -82,6 +82,7 @@ class TestFit:
         payload = json.loads((out / "fit.json").read_text())
         jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
         assert payload["converged"] is True
+        assert payload["stop_reason"] == "gradient_tolerance"
         assert payload["matrices"]["dim"] == 1 + 2 * payload["q"]
         for ch in ("c0", "c1"):
             band = out / f"filters_{ch}.csv"
@@ -158,6 +159,14 @@ class TestFit:
         assert code == 2
         payload = json.loads((out / "fit.json").read_text())
         assert payload["converged"] is False
+        assert payload["stop_reason"] == "max_iter"
+        jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
+
+    def test_schema_lists_every_stop_reason(self):
+        schema = json.loads(SCHEMA_PATH.read_text())
+        assert schema["properties"]["stop_reason"]["enum"] == list(STOP_REASONS)
+        # optional, so fit.json files written before the field still validate
+        assert "stop_reason" not in schema["required"]
 
     def test_missing_file_exit_one(self, tmp_path):
         assert run("fit", "--data", tmp_path / "nope.json", "--target", "a",

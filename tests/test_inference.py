@@ -277,6 +277,7 @@ def make_fit_result(spec, coef, sandwich):
         link="log",
         mode=spec.mode,
         converged=True,
+        stop_reason="gradient_tolerance",
         iterations=5,
         grad_norm=1e-8,
     )

@@ -16,6 +16,7 @@ from ppfilt.model import (
     build_trial_matrices,
     cross_validate,
     fit,
+    fit_context,
     model_scan,
 )
 from ppfilt.optimize import OptimSettings
@@ -122,6 +123,16 @@ class TestFit:
         assert math.isfinite(result.tic)
         # TIC = nll + trace term, with the trace at most the dimension
         assert result.tic - result.nll <= dim + 1e-8
+
+    def test_fit_context_under_another_link_equals_fit(self, small_data, small_config):
+        family = LinkFunction("logaffine", c=1.0)
+        ctx = build_context(small_data, small_config).with_link(family, 0.1)
+        got = fit_context(ctx, small_config)
+        want = fit(small_data, replace(small_config, family=family, lam=0.1))
+        assert (got.link, got.lam, got.tic, got.stop_reason) == (
+            want.link, want.lam, want.tic, want.stop_reason
+        )
+        np.testing.assert_array_equal(got.k_hat, want.k_hat)
 
     def test_unknown_channel_rejected(self, small_data, small_config):
         from dataclasses import replace
@@ -260,6 +271,22 @@ class TestModelScan:
             key=lambda pair: (pair[1].tic, -pair[1].lam),
         )
         assert result.best is best_cell
+
+    def test_design_built_once_per_scan(self, small_data, small_config, monkeypatch):
+        import ppfilt.model as model
+
+        contexts = []
+
+        def spy(*args, **kwargs):
+            contexts.append(build_context(*args, **kwargs))
+            return contexts[-1]
+
+        monkeypatch.setattr(model, "build_context", spy)
+        result = model_scan(small_data, small_config, c_grid=[0.0, math.inf], lam_grid=[-1.0, 0.5])
+        assert len(contexts) == 1
+        # a cell's own failure stays in that cell
+        assert [cell.error is not None for cell in result.cells] == [True, False, True, False]
+        assert "nonnegative" in result.cells[0].error
 
     def test_empty_grid_rejected(self, small_data, small_config):
         with pytest.raises(ValueError):

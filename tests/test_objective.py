@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from ppfilt.design import ModelMatrices, build_h, build_z, make_delta_grid
@@ -21,7 +22,7 @@ from ppfilt.objective import (
     penalized_value_and_grad,
     reconstruct_filter,
 )
-from ppfilt.sparse import from_triplets
+from ppfilt.sparse import SparseCsr, from_triplets
 from ppfilt.splines import basis_eval_matrix
 
 from conftest import build_t1_context, make_event_data
@@ -230,19 +231,47 @@ class TestValueAndGrad:
         assert grad.tobytes() == want_grad.tobytes()
 
 
-def three_channel_context(n_rows=12, n_bins=4, width=12):
-    """Direct-mode context, 3 channels of n_bins lag bins, over a random (n_rows, width) H."""
+def direct_context(design, n_channels, n_bins=4):
+    """Direct-mode context over the SparseCsr design: n_channels channels of n_bins lag bins."""
     trial = Trial(t_end=1.0, events={"a": np.empty(0)})
-    grid = make_time_grid(trial, "a", base_n=n_rows - 1)
+    grid = make_time_grid(trial, "a", base_n=design.nrows - 1)
     delta = make_delta_grid(0.5, n_bins)
     kernel = Kernel(family="sobolev2", support=0.5)
     factor = spectral_factorize(gram_matrix(kernel, delta.bin_lags))
-    spec = FilterSpec(mode="direct", n_channels=3, delta=delta, kernel=kernel, factor=factor)
+    spec = FilterSpec(
+        mode="direct", n_channels=n_channels, delta=delta, kernel=kernel, factor=factor
+    )
+    matrices = ModelMatrices(grid=grid, delta=delta, n_channels=n_channels, h=design)
+    return ObjectiveContext([matrices], log_link(), 0.0, spec)
+
+
+def three_channel_context(n_rows=12, n_bins=4, width=12):
+    """Direct-mode context, 3 channels of n_bins lag bins, over a random (n_rows, width) H."""
     rng = np.random.default_rng(11)
     rows, cols = rng.integers(0, n_rows, 30), rng.integers(0, width, 30)
     h = from_triplets(n_rows, width, (rows, cols, rng.normal(size=30)))
-    matrices = ModelMatrices(grid=grid, delta=delta, n_channels=3, h=h)
-    return ObjectiveContext([matrices], log_link(), 0.0, spec)
+    return direct_context(h, 3, n_bins)
+
+
+def design_context(h, n_channels, n_bins=4):
+    """direct_context over the dense design h."""
+    rows, cols = np.nonzero(h)
+    return direct_context(from_triplets(*h.shape, (rows, cols, h[rows, cols])), n_channels, n_bins)
+
+
+def dense_gram(ctx, weights):
+    """sum_l weights_l x_l x_l^T from the densified working design."""
+    blocks = block_diag(*[ctx.spec.block_map] * ctx.spec.n_channels)
+    x = np.hstack([np.ones((ctx.n_rows, 1)), ctx.design.toarray() @ blocks])
+    return x.T @ (weights[:, None] * x)
+
+
+def sparse_design(rng, n_rows, width, empty_rows=(), empty_cols=()):
+    """Random dense (n_rows, width) matrix, about half zeros, with the given rows and columns zero."""
+    h = rng.normal(size=(n_rows, width)) * (rng.uniform(size=(n_rows, width)) < 0.5)
+    h[list(empty_rows)] = 0.0
+    h[:, list(empty_cols)] = 0.0
+    return h
 
 
 class TestWeightedGram:
@@ -259,9 +288,109 @@ class TestWeightedGram:
         got = objective._weighted_gram(ctx, weights)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "empty_rows, empty_channel",
+        [
+            ((0, 5, 11), None),  # scattered rows with no nonzeros
+            ((), 1),  # the middle channel has no events
+            ((), 2),  # the last channel has no events
+            (range(2, 9), 0),  # 2-row chunks 1 to 3 hold only empty rows
+            (range(12), None),  # no nonzeros at all
+        ],
+    )
+    def test_empty_rows_and_channels(self, empty_rows, empty_channel, monkeypatch):
+        n_bins, p = 4, 3
+        empty_cols = () if empty_channel is None else range(
+            empty_channel * n_bins, (empty_channel + 1) * n_bins
+        )
+        h = sparse_design(np.random.default_rng(5), 12, p * n_bins, empty_rows, empty_cols)
+        ctx = design_context(h, p, n_bins)
+        monkeypatch.setattr(objective, "_CHUNK_BYTES", 8 * (1 + p * ctx.spec.q) * 2)
+        weights = np.random.default_rng(6).uniform(0.5, 2.0, size=ctx.n_rows)
+        got = objective._weighted_gram(ctx, weights)
+        np.testing.assert_allclose(got, dense_gram(ctx, weights), rtol=1e-13, atol=1e-14)
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_no_channels(self):
+        ctx = design_context(np.zeros((12, 0)), 0)
+        weights = np.random.default_rng(7).uniform(0.5, 2.0, size=ctx.n_rows)
+        got = objective._weighted_gram(ctx, weights)
+        assert got.shape == (1, 1)
+        np.testing.assert_allclose(got, [[weights.sum()]], rtol=1e-15)
+
+    def test_negative_weight_rejected(self):
+        ctx = three_channel_context()
+        weights = np.ones(ctx.n_rows)
+        weights[4] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            objective._weighted_gram(ctx, weights)
+
+    def test_index_built_once_and_shared_by_with_link(self):
+        ctx = three_channel_context()
+        weights = np.ones(ctx.n_rows)
+        other = ctx.with_link(identity_link(), 0.5)
+        assert (other.link.family, other.lam, ctx.lam) == ("identity", 0.5, 0.0)
+        assert other.design is ctx.design
+        objective._weighted_gram(other, weights)
+        segments, stacked = objective._gram_operands(other)
+        assert objective._gram_operands(ctx)[0] is segments
+        # entry r p + i is where channel i's columns begin in row r
+        p, width = 3, ctx.spec.design_block_width
+        design = ctx.design
+        for r in range(ctx.n_rows):
+            cols = design.col_idx[design.row_ptr[r] : design.row_ptr[r + 1]]
+            for i in range(p):
+                assert segments[r * p + i] == design.row_ptr[r] + np.sum(cols < i * width)
+        assert segments[-1] == design.nnz and segments.dtype == design.col_idx.dtype
+        np.testing.assert_array_equal(stacked, np.vstack([ctx.spec.block_map] * p))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ctx.with_link(log_link(), -0.1)
+
+    def test_rejects_rows_out_of_channel_order(self):
+        # the second row holds a channel-2 column before a channel-0 column
+        cols = np.array([0, 9, 1], np.int32)
+        h = SparseCsr(2, 12, np.array([0, 1, 3], np.int32), cols, np.ones(3))
+        ctx = direct_context(h, 3)
+        with pytest.raises(ValueError, match="channel order"):
+            objective._weighted_gram(ctx, np.ones(2))
+
     def test_context_rejects_design_width(self):
         with pytest.raises(ValueError, match="design width"):
             three_channel_context(width=11)
+
+
+class TestCsrKernel:
+    """objective._weighted_gram calls scipy's private csr_matvecs in place.
+
+    These pin it to the public csr @ dense product, on a row-pointer slice
+    over the full index and value arrays as the Gram passes it, so a change
+    to the kernel fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, empty_rows",
+        [(9, 7, (0, 3, 4, 8)), (6, 5, range(6)), (0, 4, ()), (4, 0, ()), (30, 11, (7,))],
+    )
+    def test_accumulates_the_public_product(self, n_rows, n_cols, empty_rows):
+        rng = np.random.default_rng(n_rows * 31 + n_cols)
+        h = sparse_design(rng, n_rows, n_cols, empty_rows)
+        a = sp.csr_matrix(h)
+        a.indptr, a.indices = a.indptr.astype(np.int32), a.indices.astype(np.int32)
+        x = rng.normal(size=(n_cols, 3))
+        expected = a @ x
+        out = np.zeros((n_rows, 3))
+        objective.csr_matvecs(n_rows, n_cols, 3, a.indptr, a.indices, a.data, x, out)
+        np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0)
+        # it adds to what the output holds
+        objective.csr_matvecs(n_rows, n_cols, 3, a.indptr, a.indices, a.data, x, out)
+        np.testing.assert_allclose(out, 2 * expected, rtol=1e-13, atol=0)
+        # a pointer slice addresses rows lo:hi of the full arrays without a copy
+        lo, hi = n_rows // 3, n_rows - n_rows // 4
+        part = np.zeros((hi - lo, 3))
+        objective.csr_matvecs(
+            hi - lo, n_cols, 3, a.indptr[lo : hi + 1], a.indices, a.data, x, part
+        )
+        np.testing.assert_allclose(part, expected[lo:hi], rtol=1e-13, atol=0)
 
 
 class TestFilterSpecMaps:

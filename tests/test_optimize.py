@@ -51,17 +51,17 @@ class TestNewtonCore:
             d = x - a
             return 0.5 * float(d @ d), d
 
-        x, f, g, iters, converged, trace = newton_minimize(fun, lambda x: np.eye(4), np.zeros(4))
-        assert converged
+        x, f, g, iters, stop, trace = newton_minimize(fun, lambda x: np.eye(4), np.zeros(4))
+        assert stop == "gradient_tolerance"
         assert iters == 1
         assert f <= 1e-12
         np.testing.assert_allclose(x, a, atol=1e-12)
 
     def test_rosenbrock(self):
-        x, f, g, iters, converged, trace = newton_minimize(
+        x, f, g, iters, stop, trace = newton_minimize(
             rosenbrock, rosenbrock_hessian, np.array([-1.2, 1.0]), OptimSettings(max_iter=200)
         )
-        assert converged
+        assert stop == "gradient_tolerance"
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-6)
         # the minimizer really is a stationary point of the test function
         assert np.abs(rosenbrock(x)[1]).max() <= 1e-6
@@ -75,10 +75,10 @@ class TestNewtonCore:
             np.linalg.cholesky(hess)
         g = rosenbrock(x0)[1]
         assert float(g @ _newton_direction(hess, g)) < 0
-        x, f, g, iters, converged, trace = newton_minimize(
+        x, f, g, iters, stop, trace = newton_minimize(
             rosenbrock, rosenbrock_hessian, x0, OptimSettings(max_iter=200)
         )
-        assert converged
+        assert stop == "gradient_tolerance"
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-6)
 
     def test_monotone_trace(self):
@@ -90,8 +90,8 @@ class TestNewtonCore:
         def hess(x):
             return np.diag(12 * x**2 + 2)
 
-        _, _, _, _, converged, trace = newton_minimize(fun, hess, np.full(3, 5.0))
-        assert converged
+        _, _, _, _, stop, trace = newton_minimize(fun, hess, np.full(3, 5.0))
+        assert stop == "gradient_tolerance"
         values = [v for v, _ in trace]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -107,9 +107,45 @@ class TestNewtonCore:
             r2 = float(x @ x)
             return 2 * np.eye(len(x)) / (1 - r2) + 4 * np.outer(x, x) / (1 - r2) ** 2
 
-        x, f, g, iters, converged, _ = newton_minimize(fun, hess, np.array([0.7, 0.0]))
-        assert converged
+        x, f, g, iters, stop, _ = newton_minimize(fun, hess, np.array([0.7, 0.0]))
+        assert stop == "gradient_tolerance"
         np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-6)
+
+    def test_stops_at_max_iter(self):
+        x0 = np.array([-1.2, 1.0])
+        x, f, g, iters, stop, trace = newton_minimize(
+            rosenbrock, rosenbrock_hessian, x0, OptimSettings(max_iter=2)
+        )
+        assert (stop, iters, len(trace)) == ("max_iter", 2, 3)
+        assert np.abs(g).max() > 1e-6
+        # no step at all: the start is returned as it is
+        x, f, g, iters, stop, trace = newton_minimize(
+            rosenbrock, rosenbrock_hessian, x0, OptimSettings(max_iter=0)
+        )
+        assert (stop, iters) == ("max_iter", 0)
+        np.testing.assert_array_equal(x, x0)
+
+    def test_stops_when_no_step_is_acceptable(self):
+        # finite only at the start, so every trial step along the direction fails
+        def fun(x):
+            if np.any(x != 0.0):
+                return np.inf, np.full_like(x, np.nan)
+            return 0.0, np.ones_like(x)
+
+        x, f, g, iters, stop, trace = newton_minimize(fun, lambda x: np.eye(2), np.zeros(2))
+        assert (stop, iters, f) == ("no_acceptable_step", 0, 0.0)
+        np.testing.assert_array_equal(x, 0.0)
+
+    def test_gradient_tolerance_wins_at_the_iteration_limit(self):
+        # converged at the start: no iteration is needed, whatever max_iter is
+        def fun(x):
+            return float(x @ x), 2 * x
+
+        for max_iter in (0, 5):
+            _, _, _, iters, stop, _ = newton_minimize(
+                fun, lambda x: 2 * np.eye(2), np.zeros(2), OptimSettings(max_iter=max_iter)
+            )
+            assert (stop, iters) == ("gradient_tolerance", 0)
 
     def test_infinite_start_rejected(self):
         def fun(x):
@@ -149,7 +185,7 @@ class TestMinimizeOnLikelihood:
         spec = t1_direct_spec if mode == "direct" else t1_basis_spec
         ctx = build_t1_context(t1_trial, t1_grid, spec, link=log_link(), lam=0.5)
         result = minimize(ctx, OptimSettings())
-        assert result.converged
+        assert result.converged and result.stop_reason == "gradient_tolerance"
         assert result.grad_norm <= 1e-6
         assert np.isfinite(result.nll_value)
         values = [v for v, _ in result.trace]
