@@ -6,7 +6,7 @@ likelihood on a time grid and reparametrizing the filters isometrically,
 either through a reproducing-kernel Gram factor or a cubic B-spline basis.
 """
 
-from .design import DeltaGrid, ModelMatrices, build_h, build_z, build_z_direct, make_delta_grid
+from .design import DeltaGrid, ModelMatrices, build_h, build_z, make_delta_grid
 from .events import (
     EventData,
     TimeGrid,
@@ -40,7 +40,7 @@ from .simulate import (
     simulate_trials,
     thinning_simulate,
 )
-from .sparse import SparseCsr, from_triplets, memory_footprint, spmv, spmv_t
+from .sparse import SparseCsr, memory_footprint, spmv, spmv_t
 from .splines import SplineBasis, basis_eval_matrix, basis_gram, make_basis
 
 __version__ = "0.1.0"

@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default=None)
         p.add_argument("--lambda", type=float, default=None, dest="lam")
         p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--z-direct", action="store_true", dest="z_direct")
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None)
@@ -202,13 +201,11 @@ def _fit_config(args: argparse.Namespace) -> FitConfig:
     _merge_config_file(args, _FIT_CONFIG_KEYS)
     if args.target is None:
         raise ValueError("--target is required (flag or config file)")
-    if args.mode == "basis" and args.basis_q is None:
-        raise ValueError("basis mode requires --basis-q")
     given = dict(
         inputs=args.inputs, support=args.support, base_n=args.grid_n, delta_n=args.delta_n,
         mode=args.mode, lam=args.lam, q=args.basis_q, threshold=args.threshold,
         family=parse_family(args.family) if args.family else None,
-        use_direct_z=args.z_direct or None, eval_base_n=getattr(args, "eval_grid_n", None),
+        eval_base_n=getattr(args, "eval_grid_n", None),
         optim=None if args.max_iter is None else OptimSettings(max_iter=args.max_iter),
     )
     return FitConfig(target=args.target, **{k: v for k, v in given.items() if v is not None})
@@ -338,8 +335,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which means "not converged" here
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except ExplosionError as exc:

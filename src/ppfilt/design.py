@@ -3,10 +3,10 @@
 For grid time t_l and input channel i, entry (l, i*N + k) of H counts the
 channel-i events whose lag t_l - sigma falls in [delta_k, delta_{k+1});
 an event exactly at t_l contributes nothing (non-anticipation), and a lag of
-exactly A lands in the last bin.  Z carries the same counts pushed through
-the basis evaluations at the bin lags, Z = H blockdiag(B, ..., B), formed
-as one scipy sparse product.  Column blocks are channel-major.
-Binning compares lags in exact floating point.
+exactly A lands in the last bin.  Every fit's design starts from H; a
+basis fit multiplies it once by the basis evaluations at the bin lags,
+Z = H blockdiag(B, ..., B), one scipy sparse product.  Column blocks are
+channel-major.  Binning compares lags in exact floating point.
 
 H is assembled without a per-event loop: for each channel, the row windows
 of all events come from one searchsorted over the grid, the (event, row)
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import TimeGrid, Trial
-from .sparse import SparseCsr, _scipy_result, from_coordinate_counts, from_triplets
-from .splines import SplineBasis, eval_compact
+from .sparse import SparseCsr, _scipy_result, from_coordinate_counts
 
 # Last on purpose: importing scipy.sparse before .events made a cold
 # `import ppfilt.cli` about 35 ms slower (2-vCPU machine).
@@ -59,13 +58,10 @@ def make_delta_grid(support: float, n_bins: int) -> DeltaGrid:
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """Per-trial precomputations consumed by the objective (H and/or Z)."""
+    """One trial's time grid and lag-count matrix H; FilterSpec.design_matrix maps stacked H."""
 
     grid: TimeGrid
-    delta: DeltaGrid
-    n_channels: int
-    h: SparseCsr | None = None
-    z: SparseCsr | None = None
+    h: SparseCsr
 
 
 def _window_rows(
@@ -144,39 +140,3 @@ def build_z(h: SparseCsr, basis_eval: np.ndarray, n_channels: int) -> SparseCsr:
         lambda: h.csr @ sp.kron(sp.eye(n_channels), sp.csr_matrix(basis_eval), format="csr"),
     )
 
-
-def build_z_direct(
-    trial: Trial, grid: TimeGrid, basis: SplineBasis, channels: list[str]
-) -> SparseCsr:
-    """Z evaluated at exact lags t_l - sigma instead of binned lags."""
-    support = basis.support
-    q = basis.q
-    points = grid.points
-    rows_out, cols_out, vals_out = [], [], []
-    for chan_pos, channel in enumerate(channels):
-        sigmas = trial.events[channel]
-        for sigma, lo, hi in zip(sigmas, *_window_rows(points, sigmas, support)):
-            if lo >= hi:
-                continue
-            rows = np.arange(lo, hi)
-            lags = points[lo:hi] - sigma
-            ok = (lags > 0.0) & (lags <= support)
-            rows, lags = rows[ok], lags[ok]
-            if len(rows) == 0:
-                continue
-            first, bvals = eval_compact(basis, lags)
-            width = bvals.shape[1]
-            rows_out.append(np.repeat(rows, width))
-            cols_out.append(
-                (chan_pos * q + first[:, None] + np.arange(width)[None, :]).ravel()
-            )
-            vals_out.append(bvals.ravel())
-    if rows_out:
-        rows = np.concatenate(rows_out)
-        cols = np.concatenate(cols_out)
-        vals = np.concatenate(vals_out)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0)
-    return from_triplets(grid.n + 1, len(channels) * q, (rows, cols, vals))

@@ -43,11 +43,14 @@ class FitResult:
     lam: float
     link: str
     mode: str
-    converged: bool
     stop_reason: str  # one of optimize.STOP_REASONS
     iterations: int
     grad_norm: float
     extras: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gradient_tolerance"
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,14 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import inference
-from .design import (
-    ModelMatrices,
-    build_h,
-    build_z,
-    build_z_direct,
-    make_delta_grid,
-    multi_hit_count,
-)
+from .design import ModelMatrices, build_h, make_delta_grid, multi_hit_count
 from .events import EventData, Trial, make_time_grid, split_replications
 from .kernels import (
     DEFAULT_SPECTRAL_THRESHOLD,
@@ -28,7 +21,7 @@ from .kernels import (
 from .links import LinkFunction, log_link
 from .objective import Coefficients, FilterSpec, ObjectiveContext, nll
 from .optimize import OptimSettings, minimize
-from .splines import basis_eval_matrix, basis_gram, make_basis
+from .splines import basis_gram, make_basis
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +43,6 @@ class FitConfig:
     kernel_family: str = "sobolev2"
     kernel_bandwidth: float | None = None
     inner_product: str = "second_derivative"
-    use_direct_z: bool = False
     eval_base_n: int | None = None
     optim: OptimSettings = field(default_factory=OptimSettings)
 
@@ -80,8 +72,9 @@ def build_spec(config: FitConfig) -> FilterSpec:
             mode="direct", n_channels=n_inputs, delta=delta, kernel=kernel, factor=factor
         )
     if config.mode == "basis":
-        q = config.q if config.q is not None else 33
-        basis = make_basis(config.support, q)
+        if config.q is None:
+            raise ValueError("basis mode requires q")
+        basis = make_basis(config.support, config.q)
         factor = basis_gram(basis, config.inner_product)
         return FilterSpec(
             mode="basis", n_channels=n_inputs, delta=delta, basis=basis, basis_factor=factor
@@ -97,15 +90,7 @@ def build_trial_matrices(
     trial: Trial, config: FitConfig, spec: FilterSpec, inputs: list[str], base_n: int
 ) -> ModelMatrices:
     grid = make_time_grid(trial, config.target, base_n)
-    h = build_h(trial, grid, spec.delta, inputs)
-    z = None
-    if spec.mode == "basis":
-        if config.use_direct_z:
-            z = build_z_direct(trial, grid, spec.basis, inputs)
-        else:
-            b_eval = basis_eval_matrix(spec.basis, spec.delta.bin_lags)
-            z = build_z(h, b_eval, len(inputs))
-    return ModelMatrices(grid=grid, delta=spec.delta, n_channels=len(inputs), h=h, z=z)
+    return ModelMatrices(grid=grid, h=build_h(trial, grid, spec.delta, inputs))
 
 
 def build_context(
@@ -161,7 +146,6 @@ def fit_context(
         lam=ctx.lam,
         link=ctx.link.describe(),
         mode=ctx.spec.mode,
-        converged=result.converged,
         stop_reason=result.stop_reason,
         iterations=result.iterations,
         grad_norm=result.grad_norm,

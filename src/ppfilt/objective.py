@@ -39,7 +39,7 @@ from scipy.linalg.blas import dsyrk
 # scipy's private kernel behind csr @ dense: Y += A X into a caller's Y (pinned by tests)
 from scipy.sparse._sparsetools import csr_matvecs
 
-from .design import DeltaGrid, ModelMatrices
+from .design import DeltaGrid, ModelMatrices, build_z
 from .kernels import GramFactor, Kernel
 from .links import LinkFunction
 from .sparse import SparseCsr, spmv, spmv_t, vstack
@@ -53,11 +53,15 @@ _CHUNK_BYTES = 1 << 20
 class FilterSpec:
     """Shared filter parametrization: kernel factor (direct) or spline basis.
 
+    __post_init__ is the one branch on the mode after model.build_spec.
+    ``lag_basis`` is B, the (N, q) basis evaluations at the bin lags (None
+    in direct mode), and design_matrix turns stacked H into the design: H
+    itself, or Z = H blockdiag(B).
     ``block_map`` is the (design block width, q) matrix that takes one
     channel's coefficient block to its working coefficients on the design:
     U (direct) or V^-T (basis, formed once by triangular solves against the
     identity).  ``curve_map`` is the (N, q) matrix that takes a block to the
-    filter values at the bin lags: U, or B V^-T with B the basis evaluations.
+    filter values at the bin lags: U, or B V^-T.
     """
 
     mode: str
@@ -67,6 +71,7 @@ class FilterSpec:
     factor: GramFactor | None = None
     basis: SplineBasis | None = None
     basis_factor: BasisGramFactor | None = None
+    lag_basis: np.ndarray | None = field(init=False, repr=False)
     block_map: np.ndarray = field(init=False, repr=False)
     curve_map: np.ndarray = field(init=False, repr=False)
 
@@ -76,16 +81,25 @@ class FilterSpec:
                 raise ValueError("direct mode requires a Gram factor")
             if self.factor.n_points != self.delta.n_bins:
                 raise ValueError("Gram factor size must match the number of lag bins")
+            lag_basis = None
             block_map = curve_map = self.factor.factor
         elif self.mode == "basis":
             if self.basis is None or self.basis_factor is None:
                 raise ValueError("basis mode requires a basis and its Gram factor")
+            lag_basis = basis_eval_matrix(self.basis, self.delta.bin_lags)
             block_map = self.basis_factor.expansion_coefs(np.eye(self.basis.q))
-            curve_map = basis_eval_matrix(self.basis, self.delta.bin_lags) @ block_map
+            curve_map = lag_basis @ block_map
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "lag_basis", lag_basis)
         object.__setattr__(self, "block_map", block_map)
         object.__setattr__(self, "curve_map", curve_map)
+
+    def design_matrix(self, h: SparseCsr) -> SparseCsr:
+        """The design over lag counts H: H itself, or Z = H blockdiag(B) in basis mode."""
+        if self.lag_basis is None:
+            return h
+        return build_z(h, self.lag_basis, self.n_channels)
 
     @property
     def q(self) -> int:
@@ -124,10 +138,11 @@ class Coefficients:
 
 
 class ObjectiveContext:
-    """Stacked per-trial design matrices plus link, penalty and filter spec.
+    """The design over stacked per-trial H, plus link, penalty and filter spec.
 
-    Trials are stacked as consecutive row groups; ``row_offsets`` records the
-    group boundaries, jump indices are global row indices, and the Riemann
+    Trials' H are stacked as consecutive row groups and the spec's
+    design_matrix is applied once; ``row_offsets`` records the group
+    boundaries, jump indices are global row indices, and the Riemann
     weights carry a zero at each trial's first row so t_0 never contributes.
     Instances are immutable in practice and safe to share between concurrent
     evaluations; with_link gives the same design under another link and
@@ -145,24 +160,20 @@ class ObjectiveContext:
             raise ValueError("penalty must be nonnegative")
         if not matrices:
             raise ValueError("need at least one trial")
-        blocks = []
         deltas = []
         jumps = []
         offsets = [0]
         for m in matrices:
-            mat = m.h if spec.mode == "direct" else m.z
-            if mat is None:
-                raise ValueError(f"trial matrices missing {spec.mode}-mode design")
-            if mat.ncols != spec.design_dim:
-                raise ValueError("design width does not match the filter spec")
-            blocks.append(mat)
             deltas.append(np.concatenate([[0.0], m.grid.deltas]))
             jumps.append(m.grid.jump_indices + offsets[-1])
-            offsets.append(offsets[-1] + mat.nrows)
+            offsets.append(offsets[-1] + m.h.nrows)
+        h = matrices[0].h if len(matrices) == 1 else vstack([m.h for m in matrices])
+        self.design: SparseCsr = spec.design_matrix(h)
+        if self.design.ncols != spec.design_dim:
+            raise ValueError("design width does not match the filter spec")
         self.link = link
         self.lam = float(lam)
         self.spec = spec
-        self.design: SparseCsr = blocks[0] if len(blocks) == 1 else vstack(blocks)
         self.delta_pad = np.concatenate(deltas)
         self.jump_idx = np.concatenate(jumps).astype(np.int64)
         self.row_offsets = np.asarray(offsets)

@@ -43,9 +43,12 @@ class OptimResult:
     nll_value: float
     grad_norm: float
     iterations: int
-    converged: bool
     stop_reason: str
     trace: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gradient_tolerance"
 
 
 def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -132,7 +135,6 @@ def minimize(
         nll_value=f,
         grad_norm=float(np.abs(g).max()),
         iterations=iterations,
-        converged=stop_reason == "gradient_tolerance",
         stop_reason=stop_reason,
         trace=trace,
     )

@@ -8,8 +8,6 @@ kernels accumulate each row in column order, so results are bitwise
 reproducible run to run.  Every scipy result is stored through one guard: a
 row or column count that does not fit int32 raises OverflowError before
 scipy allocates, an nnz that does not fit raises after, instead of wrapping.
-from_triplets keeps its own sort and reduction, whose fixed summation order
-makes the result independent of the input order.
 """
 
 from __future__ import annotations
@@ -79,59 +77,6 @@ def _scipy_result(nrows: int, ncols: int, build: Callable[[], sp.csr_matrix]) ->
     _check_index_width(nrows, ncols, mat.nnz)
     row_ptr, col_idx = np.asarray(mat.indptr, np.int32), np.asarray(mat.indices, np.int32)
     return SparseCsr(nrows, ncols, row_ptr, col_idx, mat.data)
-
-
-def from_triplets(
-    nrows: int, ncols: int, entries: tuple[np.ndarray, np.ndarray, np.ndarray] | list
-) -> SparseCsr:
-    """Assemble a CSR matrix from (row, col, value) triplets.
-
-    Accepts a list of (row, col, value) tuples or a tuple of three parallel
-    arrays.  Duplicate coordinates are summed and exact zeros dropped.
-    Triplets are ordered by (row, col, value) before accumulation, so the
-    result does not depend on the input ordering, even in floating point.
-    """
-    if (
-        isinstance(entries, tuple)
-        and len(entries) == 3
-        and all(isinstance(e, np.ndarray) for e in entries)
-    ):
-        rows, cols, vals = entries
-    else:
-        arr = np.asarray(list(entries), dtype=np.float64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 3)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("entries must be (row, col, value) triplets")
-        rows, cols, vals = arr[:, 0], arr[:, 1], arr[:, 2]
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if rows.shape != cols.shape or rows.shape != vals.shape:
-        raise ValueError("triplet arrays must have equal length")
-    if len(rows):
-        if rows.min() < 0 or rows.max() >= nrows:
-            raise ValueError("row index out of range")
-        if cols.min() < 0 or cols.max() >= ncols:
-            raise ValueError("column index out of range")
-    order = np.lexsort((vals, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if len(rows):
-        new_group = np.empty(len(rows), dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(new_group)
-        summed = np.add.reduceat(vals, starts)
-        rows, cols = rows[starts], cols[starts]
-        keep = summed != 0.0
-        rows, cols, summed = rows[keep], cols[keep], summed[keep]
-    else:
-        summed = vals
-    _check_index_width(nrows, ncols, len(summed))
-    row_ptr = np.zeros(nrows + 1, dtype=np.int32)
-    np.add.at(row_ptr, rows + 1, 1)
-    row_ptr = np.cumsum(row_ptr, dtype=np.int64).astype(np.int32)
-    return SparseCsr(nrows, ncols, row_ptr, cols.astype(np.int32), summed)
 
 
 def from_coordinate_counts(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> SparseCsr:

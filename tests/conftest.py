@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ppfilt.design import build_h, build_z, make_delta_grid
+from ppfilt.design import ModelMatrices, build_h, make_delta_grid
 from ppfilt.events import EventData, Trial, make_time_grid
 from ppfilt.kernels import Kernel, gram_matrix, spectral_factorize
 from ppfilt.links import log_link
 from ppfilt.objective import FilterSpec, ObjectiveContext
-from ppfilt.splines import basis_eval_matrix, basis_gram, make_basis
+from ppfilt.splines import basis_gram, make_basis
 
 
 @pytest.fixture
@@ -42,13 +42,7 @@ def t1_basis_spec(t1_delta):
 
 
 def build_t1_context(trial, grid, spec, link=None, lam=0.0):
-    from ppfilt.design import ModelMatrices
-
-    h = build_h(trial, grid, spec.delta, ["a"])
-    z = None
-    if spec.mode == "basis":
-        z = build_z(h, basis_eval_matrix(spec.basis, spec.delta.bin_lags), 1)
-    matrices = ModelMatrices(grid=grid, delta=spec.delta, n_channels=1, h=h, z=z)
+    matrices = ModelMatrices(grid=grid, h=build_h(trial, grid, spec.delta, ["a"]))
     return ObjectiveContext([matrices], link or log_link(), lam, spec)
 
 

@@ -1,14 +1,17 @@
 """Brute-force reference implementations shared by the unit and acceptance suites.
 
 Everything here recomputes quantities from their definitions with plain
-loops and dense arrays: no sparse matrices, no shared code paths with the
-package internals they are used to check.
+loops and dense arrays, or with from_triplets into the package's CSR
+storage: no shared code paths with the package internals they are used to
+check.  from_triplets is also the suites' builder of small sparse matrices.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ppfilt import sparse
 from ppfilt.objective import Coefficients, gradient, penalized_nll
+from ppfilt.sparse import SparseCsr
 from ppfilt.splines import basis_eval_matrix
 
 
@@ -119,8 +122,6 @@ def merge_loop_time_grid(trial, target, base_n):
 
 def triplet_lag_counts(trial, grid, delta, channels):
     """H by one window per event, assembled through from_triplets."""
-    from ppfilt.sparse import from_triplets
-
     points = grid.points
     support = delta.support
     rows_out, cols_out = [], []
@@ -147,8 +148,6 @@ def triplet_lag_counts(trial, grid, delta, channels):
 
 def loop_build_z(h, basis_eval, n_channels):
     """Z from H by a loop over lag bins, assembled through from_triplets."""
-    from ppfilt.sparse import from_triplets
-
     n_bins, q = basis_eval.shape
     if h.ncols != n_channels * n_bins:
         raise ValueError("H column count does not match channels x bins")
@@ -190,8 +189,6 @@ def loop_build_z(h, basis_eval, n_channels):
 
 def keysort_coordinate_counts(nrows, ncols, rows, cols):
     """Pair counts by one sort of the keys r * ncols + c, written straight into CSR."""
-    from ppfilt.sparse import SparseCsr
-
     keys = np.sort(np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -206,8 +203,6 @@ def keysort_coordinate_counts(nrows, ncols, rows, cols):
 
 def concat_vstack(blocks):
     """Row groups stacked by concatenating the CSR arrays and offsetting row_ptr."""
-    from ppfilt.sparse import SparseCsr
-
     ptr = [np.zeros(1, dtype=np.int64)]
     offset = 0
     for b in blocks:
@@ -220,3 +215,68 @@ def concat_vstack(blocks):
         np.concatenate([b.col_idx for b in blocks]),
         np.concatenate([b.values for b in blocks]),
     )
+
+
+def from_triplets(
+    nrows: int, ncols: int, entries: tuple[np.ndarray, np.ndarray, np.ndarray] | list
+) -> SparseCsr:
+    """Assemble a CSR matrix from (row, col, value) triplets.
+
+    Accepts a list of (row, col, value) tuples or a tuple of three parallel
+    arrays.  Duplicate coordinates are summed and exact zeros dropped.
+    Triplets are ordered by (row, col, value) before accumulation, so the
+    result does not depend on the input ordering, even in floating point.
+    """
+    if (
+        isinstance(entries, tuple)
+        and len(entries) == 3
+        and all(isinstance(e, np.ndarray) for e in entries)
+    ):
+        rows, cols, vals = entries
+    else:
+        arr = np.asarray(list(entries), dtype=np.float64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError("entries must be (row, col, value) triplets")
+        rows, cols, vals = arr[:, 0], arr[:, 1], arr[:, 2]
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    if rows.shape != cols.shape or rows.shape != vals.shape:
+        raise ValueError("triplet arrays must have equal length")
+    if len(rows):
+        if rows.min() < 0 or rows.max() >= nrows:
+            raise ValueError("row index out of range")
+        if cols.min() < 0 or cols.max() >= ncols:
+            raise ValueError("column index out of range")
+    order = np.lexsort((vals, cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if len(rows):
+        new_group = np.empty(len(rows), dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(new_group)
+        summed = np.add.reduceat(vals, starts)
+        rows, cols = rows[starts], cols[starts]
+        keep = summed != 0.0
+        rows, cols, summed = rows[keep], cols[keep], summed[keep]
+    else:
+        summed = vals
+    sparse._check_index_width(nrows, ncols, len(summed))
+    row_ptr = np.zeros(nrows + 1, dtype=np.int32)
+    np.add.at(row_ptr, rows + 1, 1)
+    row_ptr = np.cumsum(row_ptr, dtype=np.int64).astype(np.int32)
+    return SparseCsr(nrows, ncols, row_ptr, cols.astype(np.int32), summed)
+
+
+def exact_lag_z(trial, grid, basis, channels):
+    """Dense Z with the basis evaluated at each exact lag t_l - sigma in (0, A], event by event."""
+    q = basis.q
+    out = np.zeros((grid.n + 1, len(channels) * q))
+    for chan_pos, channel in enumerate(channels):
+        for sigma in trial.events[channel]:
+            lags = grid.points - sigma
+            rows = np.flatnonzero((lags > 0.0) & (lags <= basis.support))
+            out[rows, chan_pos * q : (chan_pos + 1) * q] += basis_eval_matrix(basis, lags[rows])
+    return out

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from ppfilt.bench import hawkes_like_data, run_cells
-from ppfilt.design import ModelMatrices, build_h, build_z, make_delta_grid
+from ppfilt.design import ModelMatrices, build_h, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
 from ppfilt.inference import filter_bands, fisher_hat, sandwich_cov, tic_trace_term
 from ppfilt.kernels import Kernel, gram_matrix, spectral_factorize
@@ -37,7 +37,7 @@ from ppfilt.simulate import (
     simulate_trials,
     thinning_simulate,
 )
-from ppfilt.splines import basis_eval_matrix, basis_gram, make_basis
+from ppfilt.splines import basis_gram, make_basis
 
 from oracles import (
     analytic_gradient_vector,
@@ -70,11 +70,7 @@ def make_specs(n_channels, support=0.4, delta_n=12, q_basis=6, threshold=1e-6):
 
 def context_for(trial, target, channels, spec, link, lam, base_n):
     grid = make_time_grid(trial, target, base_n)
-    h = build_h(trial, grid, spec.delta, channels)
-    z = None
-    if spec.mode == "basis":
-        z = build_z(h, basis_eval_matrix(spec.basis, spec.delta.bin_lags), len(channels))
-    mats = ModelMatrices(grid=grid, delta=spec.delta, n_channels=len(channels), h=h, z=z)
+    mats = ModelMatrices(grid=grid, h=build_h(trial, grid, spec.delta, channels))
     return ObjectiveContext([mats], link, lam, spec)
 
 

@@ -138,12 +138,22 @@ class TestFit:
         out = tmp_path / "zdirect"
         code = run("fit", "--data", sim_file, "--target", "c0",
                    "--support", 0.3, "--grid-n", 400, "--delta-n", 20,
-                   "--mode", "basis", "--basis-q", 6, "--z-direct",
+                   "--mode", "basis", "--basis-q", 6,
                    "--family", "log", "--lambda", 0.5, "--out", out)
         assert code in (0, 2)
         payload = json.loads((out / "fit.json").read_text())
         jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
         assert (payload["mode"], payload["q"]) == ("basis", 6)
+
+    @pytest.mark.parametrize("flags", [["--z-direct"], []], ids=["removed-z-direct", "missing-data"])
+    def test_usage_error_exit_one(self, flags, sim_file, tmp_path):
+        # argparse's own code 2 would read as "fit did not converge"
+        data = ["--data", sim_file] if flags else []
+        assert run("fit", *data, "--target", "c0", *flags, "--out", tmp_path / "f") == 1
+
+    def test_help_exit_zero(self, capsys):
+        assert run("fit", "--help") == 0
+        assert "--data" in capsys.readouterr().out
 
     def test_basis_mode_requires_q(self, sim_file, tmp_path):
         code = run("fit", "--data", sim_file, "--target", "c0", "--mode", "basis",
@@ -196,12 +206,12 @@ class TestFit:
             "cv", "--data", "d.json", "--target", "c0", "--out", "o", "--inputs", "c0,c1",
             "--support", "0.3", "--grid-n", "300", "--delta-n", "16", "--mode", "basis",
             "--basis-q", "6", "--family", "logaffine:0.5", "--lambda", "0.25",
-            "--threshold", "1e-6", "--z-direct", "--max-iter", "7", "--eval-grid-n", "500",
+            "--threshold", "1e-6", "--max-iter", "7", "--eval-grid-n", "500",
         ])
         assert _fit_config(args) == FitConfig(
             target="c0", inputs=["c0", "c1"], support=0.3, base_n=300, delta_n=16,
             mode="basis", family=parse_family("logaffine:0.5"), lam=0.25, q=6,
-            threshold=1e-6, use_direct_z=True, eval_base_n=500,
+            threshold=1e-6, eval_base_n=500,
             optim=OptimSettings(max_iter=7),
         )
 

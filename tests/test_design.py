@@ -7,18 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from ppfilt.bench import hawkes_like_data
-from ppfilt.design import (
-    build_h,
-    build_z,
-    build_z_direct,
-    make_delta_grid,
-    multi_hit_count,
-)
+from ppfilt.design import build_h, build_z, make_delta_grid, multi_hit_count
 from ppfilt.events import Trial, make_time_grid
-from ppfilt.sparse import from_coordinate_counts, from_triplets
+from ppfilt.sparse import from_coordinate_counts
 from ppfilt.splines import basis_eval_matrix, make_basis
 
-from oracles import loop_build_z, triplet_lag_counts
+from oracles import exact_lag_z, from_triplets, loop_build_z, triplet_lag_counts
 
 
 def brute_force_h(trial, grid, delta, channels):
@@ -286,12 +280,16 @@ class TestBuildZ:
 
 
 class TestBuildZDirect:
+    """Binned Z against Z evaluated at the exact lags (oracles.exact_lag_z)."""
+
     def test_no_events_zero(self):
         trial = Trial(t_end=1.0, events={"a": []})
         grid = make_time_grid(trial, "a", base_n=6)
         basis = make_basis(0.5, 5)
-        z = build_z_direct(trial, grid, basis, ["a"])
-        assert z.nnz == 0
+        delta = make_delta_grid(0.5, 4)
+        h = build_h(trial, grid, delta, ["a"])
+        assert build_z(h, basis_eval_matrix(basis, delta.bin_lags), 1).nnz == 0
+        assert not exact_lag_z(trial, grid, basis, ["a"]).any()
 
     def test_grid_aligned_events_match_binned(self):
         # power-of-two spacings so lags are exact floats
@@ -301,7 +299,7 @@ class TestBuildZDirect:
         basis = make_basis(0.5, 5)
         h = build_h(trial, grid, delta, ["a"])
         z_binned = build_z(h, basis_eval_matrix(basis, delta.bin_lags), 1).toarray()
-        z_direct = build_z_direct(trial, grid, basis, ["a"]).toarray()
+        z_direct = exact_lag_z(trial, grid, basis, ["a"])
         # binned evaluation uses the left bin edge; at exact-lag events the
         # lag IS a bin edge, except lag = A which the closed bin maps to
         # delta_{N-1} while the direct path evaluates at A itself.
@@ -317,7 +315,7 @@ class TestBuildZDirect:
         basis = make_basis(0.5, 6)
         h = build_h(trial, grid, delta, ["a"])
         z_binned = build_z(h, basis_eval_matrix(basis, delta.bin_lags), 1).toarray()
-        z_direct = build_z_direct(trial, grid, basis, ["a"]).toarray()
+        z_direct = exact_lag_z(trial, grid, basis, ["a"])
         fine = np.linspace(0, 0.5, 20_001)
         d1 = basis_eval_matrix(basis, fine, order=1)
         lipschitz = np.abs(d1).max()

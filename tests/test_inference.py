@@ -29,9 +29,8 @@ from ppfilt.objective import (
     linear_predictor,
     penalized_hessian,
 )
-from ppfilt.sparse import from_triplets
-
 from conftest import build_t1_context, make_event_data
+from oracles import from_triplets
 
 
 def dense_fisher_oracle(ctx, coef):
@@ -107,7 +106,7 @@ class TestFisherHat:
         spec = FilterSpec(mode="direct", n_channels=0, delta=delta, kernel=kernel, factor=factor)
         h = from_triplets(grid.n + 1, 0, [])
         ctx = ObjectiveContext(
-            [ModelMatrices(grid=grid, delta=delta, n_channels=0, h=h)], log_link(), 0.0, spec
+            [ModelMatrices(grid=grid, h=h)], log_link(), 0.0, spec
         )
         for beta0 in [-0.3, 0.0, 1.1]:
             coef = Coefficients(beta0=beta0, beta=np.zeros((0, spec.q)))
@@ -276,7 +275,6 @@ def make_fit_result(spec, coef, sandwich):
         lam=0.1,
         link="log",
         mode=spec.mode,
-        converged=True,
         stop_reason="gradient_tolerance",
         iterations=5,
         grad_norm=1e-8,

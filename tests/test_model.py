@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ppfilt.design import build_z
 from ppfilt.events import EventData
 from ppfilt.links import LinkFunction, log_link
 from ppfilt.model import (
@@ -21,6 +22,9 @@ from ppfilt.model import (
 )
 from ppfilt.optimize import OptimSettings
 from ppfilt.simulate import ExpFilter, SimConfig, simulate_trials
+from ppfilt.sparse import vstack
+
+from conftest import make_event_data
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,10 @@ class TestBuildSpec:
         assert spec.q == 8
         assert spec.basis.support == pytest.approx(0.3)
 
+    def test_basis_spec_requires_q(self, small_config):
+        with pytest.raises(ValueError, match="basis mode requires q"):
+            build_spec(replace(small_config, mode="basis", q=None))
+
 
 class TestBuildContext:
     def test_coarse_lag_grid_warns_once_per_context(self, small_data, small_config, caplog):
@@ -90,6 +98,26 @@ class TestBuildContext:
         nnz = sum(m.h.nnz for m in matrices)
         assert small_data.n_trials > 1 and multi > 0
         assert f"{multi} of {nnz} lag counts" in warnings[0].getMessage()
+
+    def test_basis_design_equals_stacked_per_trial_z(self):
+        # Z = H blockdiag(B) row by row, so one product over stacked H is
+        # the per-trial Z stacked, bit for bit
+        data = make_event_data(n_trials=4, channels=("a", "b", "c"), seed=3)
+        config = FitConfig(
+            target="a", inputs=["a", "b", "c"], support=0.5, base_n=300, delta_n=16,
+            mode="basis", q=6,
+        )
+        ctx = build_context(data, config)
+        spec = ctx.spec
+        per_trial = [
+            build_z(build_trial_matrices(t, config, spec, config.inputs, config.base_n).h,
+                    spec.lag_basis, 3)
+            for t in data.trials
+        ]
+        want = vstack(per_trial)
+        assert len(ctx.row_offsets) == 5 and want.nnz > 0
+        for name in ("row_ptr", "col_idx", "values"):
+            assert getattr(ctx.design, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_fine_lag_grid_does_not_warn(self, small_data, caplog):
         fine = FitConfig(target="a", inputs=["a", "b"], support=0.3, base_n=400, delta_n=300)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 
-from ppfilt.design import ModelMatrices, build_h, build_z, make_delta_grid
+from ppfilt.design import ModelMatrices, build_h, make_delta_grid
 from ppfilt.events import Trial, make_time_grid
 from ppfilt import objective
 from ppfilt.kernels import Kernel, gram_matrix, spectral_factorize
@@ -22,7 +22,7 @@ from ppfilt.objective import (
     penalized_value_and_grad,
     reconstruct_filter,
 )
-from ppfilt.sparse import SparseCsr, from_triplets
+from ppfilt.sparse import SparseCsr
 from ppfilt.splines import basis_eval_matrix
 
 from conftest import build_t1_context, make_event_data
@@ -31,6 +31,7 @@ from oracles import (
     brute_force_nll,
     brute_force_xi,
     finite_difference_gradient,
+    from_triplets,
     spec_filter_values,
 )
 
@@ -73,10 +74,8 @@ class TestNll:
         kernel = Kernel("sobolev2", support=0.5)
         factor = spectral_factorize(gram_matrix(kernel, delta.bin_lags))
         spec = FilterSpec(mode="direct", n_channels=0, delta=delta, kernel=kernel, factor=factor)
-        from ppfilt.sparse import from_triplets
-
         h = from_triplets(grid.n + 1, 0, [])
-        matrices = ModelMatrices(grid=grid, delta=delta, n_channels=0, h=h)
+        matrices = ModelMatrices(grid=grid, h=h)
         ctx = ObjectiveContext([matrices], log_link(), 0.0, spec)
         for beta0 in [-0.5, 0.0, 0.8]:
             coef = Coefficients(beta0=beta0, beta=np.zeros((0, spec.q)))
@@ -113,7 +112,7 @@ class TestNll:
             for trial in trials:
                 grid = make_time_grid(trial, "a", base_n=10)
                 h = build_h(trial, grid, spec.delta, ["a"])
-                mats.append(ModelMatrices(grid=grid, delta=spec.delta, n_channels=1, h=h))
+                mats.append(ModelMatrices(grid=grid, h=h))
             return ObjectiveContext(mats, log_link(), 0.0, spec)
 
         combined = nll(ctx_for([trial_a, trial_b]), coef)
@@ -241,7 +240,7 @@ def direct_context(design, n_channels, n_bins=4):
     spec = FilterSpec(
         mode="direct", n_channels=n_channels, delta=delta, kernel=kernel, factor=factor
     )
-    matrices = ModelMatrices(grid=grid, delta=delta, n_channels=n_channels, h=design)
+    matrices = ModelMatrices(grid=grid, h=design)
     return ObjectiveContext([matrices], log_link(), 0.0, spec)
 
 

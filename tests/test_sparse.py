@@ -11,14 +11,13 @@ from ppfilt.events import Trial, make_time_grid
 from ppfilt.sparse import (
     SparseCsr,
     from_coordinate_counts,
-    from_triplets,
     memory_footprint,
     spmv,
     spmv_t,
     vstack,
 )
 
-from oracles import concat_vstack, keysort_coordinate_counts
+from oracles import concat_vstack, from_triplets, keysort_coordinate_counts
 
 
 def dense_from_triplets(nrows, ncols, entries):
